@@ -9,13 +9,21 @@ root analytically.
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["MapComponent", "NotInvertibleError"]
 
 
 class NotInvertibleError(RuntimeError):
-    """The monotone term is flat (all increments zero); no inverse exists."""
+    """A target lies where the monotone term is flat, or the solve missed it."""
+
+
+def _not_invertible(reason, gap, z_targets):
+    """Error naming the member whose target lies farthest out of reach."""
+    worst = int(np.argmax(gap))
+    return NotInvertibleError(
+        f"{reason}: member {worst}, target {z_targets[worst]:.6g}, "
+        f"residual {gap[worst]:.3g}"
+    )
 
 
 def cumulative(raw):
@@ -71,31 +79,11 @@ class MapComponent:
             self._slices.append(slice(start, start + b.num_basis))
             start += b.num_basis
 
-    def parent_term(self, x_row):
-        """Sum of the nonmonotone terms at the parent coordinates of ``x_row``."""
-        x_row = np.asarray(x_row, dtype=float)
-        if np.any(np.isnan(x_row)):
-            raise ValueError("NaN coordinate")
-        total = 0.0
-        for p, basis, sl in zip(self.parents, self.non_bases, self._slices):
-            total += basis.eval(x_row[p]) @ self.beta_non[sl]
-        return total
-
-    def monotone_term(self, x_own):
-        return self.mon_basis.eval(x_own) @ self.beta_mon
-
-    def eval(self, x_row):
-        """Component value at a full state row."""
-        x_row = np.asarray(x_row, dtype=float)
-        return self.parent_term(x_row) + self.monotone_term(x_row[self.own])
-
     def ddx(self, x_own):
         """Derivative of the monotone term; independent of the parents."""
         if np.any(np.isnan(np.atleast_1d(x_own))):
             raise ValueError("NaN coordinate")
         return self.mon_basis.eval_deriv(x_own) @ self.beta_mon
-
-    # -- vectorized paths (one call for a whole ensemble) -------------------
 
     def parent_term_many(self, rows):
         """Nonmonotone contribution for every row of an (n, d) array."""
@@ -106,16 +94,23 @@ class MapComponent:
         return total
 
     def eval_many(self, rows):
+        """Component value for every row of an (n, d) array."""
         rows = np.asarray(rows, dtype=float)
         if np.any(np.isnan(rows)):
             raise ValueError("NaN coordinate")
         return self.parent_term_many(rows) + self.mon_basis.eval(rows[:, self.own]) @ self.beta_mon
 
     def invert_many(self, rows, z_targets, tol=1e-10, max_iter=200):
-        """Vectorized invert_in_last over members; rows supply the parents."""
+        """Solve S(parents of rows[i], x_i) = z_targets[i] for every member i.
+
+        ``rows`` is (n, d); its own-index column is ignored. Targets beyond the
+        knot range are solved in closed form on the affine tails, the rest by
+        safeguarded Newton. NotInvertibleError names the worst member.
+        """
         rows = np.asarray(rows, dtype=float)
         z_targets = np.asarray(z_targets, dtype=float)
-        t = z_targets - self.parent_term_many(rows)
+        g = self.parent_term_many(rows)
+        t = z_targets - g
         kn = self.mon_basis.knots
         f = lambda x: self.mon_basis.eval(x) @ self.beta_mon
         f_lo, f_hi = float(f(kn.first)), float(f(kn.last))
@@ -123,15 +118,19 @@ class MapComponent:
         below = t < f_lo
         above = t > f_hi
         mid = ~(below | above)
+        # a tail slope is proportional to the end increment; with that increment
+        # zero, ddx returns rounding noise of either sign instead of 0
         if below.any():
             slope = float(self.ddx(kn.first))
-            if slope <= 0:
-                raise NotInvertibleError("flat left tail; target below range")
+            if slope <= 0 or self.beta_mon_raw[1] == 0:
+                raise _not_invertible("flat left tail; target below range",
+                                      np.where(below, f_lo - t, -np.inf), z_targets)
             x[below] = kn.first + (t[below] - f_lo) / slope
         if above.any():
             slope = float(self.ddx(kn.last))
-            if slope <= 0:
-                raise NotInvertibleError("flat right tail; target above range")
+            if slope <= 0 or self.beta_mon_raw[-1] == 0:
+                raise _not_invertible("flat right tail; target above range",
+                                      np.where(above, t - f_hi, -np.inf), z_targets)
             x[above] = kn.last + (t[above] - f_hi) / slope
         scale = np.maximum(1.0, np.abs(z_targets))
         if mid.any():
@@ -162,42 +161,13 @@ class MapComponent:
         # residual check on the scale the bisection can actually resolve: for a
         # steep monotone term, one ulp in x moves f by |f'(x)| * ulp(x)
         resolvable = np.abs(self.ddx(x)) * np.abs(x) * 2e-16
-        resid = np.abs(f(x) + self.parent_term_many(rows) - z_targets)
-        if np.any(resid > 100 * (tol * scale + resolvable)):
-            raise NotInvertibleError("vectorized inversion did not reach tolerance")
+        resid = np.abs(f(x) + g - z_targets)
+        missed = resid > 100 * (tol * scale + resolvable)
+        if missed.any():
+            raise _not_invertible("inversion did not reach tolerance",
+                                  np.where(missed, resid, -np.inf), z_targets)
         return x
 
     def invert_in_last(self, x_row, z_target, tol=1e-10):
-        """Solve S(x_parents, x_own) = z_target for x_own.
-
-        ``x_row`` supplies the parent coordinates; its own-index entry is
-        ignored. Outside the knot range the monotone term is exactly affine,
-        so out-of-range targets are solved in closed form on the tail.
-        """
-        g = self.parent_term(x_row)
-        target = float(z_target) - g
-        f = self.monotone_term
-        kn = self.mon_basis.knots
-        f_lo, f_hi = f(kn.first), f(kn.last)
-        if f_hi - f_lo <= 0 and self.ddx(0.5 * (kn.first + kn.last)) <= 0:
-            raise NotInvertibleError("monotone term is flat; cannot invert")
-        if target < f_lo:
-            slope = self.ddx(kn.first)
-            if slope <= 0:
-                raise NotInvertibleError("flat left tail; target below range")
-            x = kn.first + (target - f_lo) / slope
-        elif target > f_hi:
-            slope = self.ddx(kn.last)
-            if slope <= 0:
-                raise NotInvertibleError("flat right tail; target above range")
-            x = kn.last + (target - f_hi) / slope
-        else:
-            x = brentq(lambda t: f(t) - target, kn.first, kn.last,
-                       xtol=1e-13, rtol=8.9e-16, maxiter=200)
-        # one Newton polish; guards the residual contract
-        d = self.ddx(x)
-        if d > 0:
-            x -= (f(x) - target) / d
-        if abs(f(x) - target) > tol * max(1.0, abs(z_target)):
-            raise NotInvertibleError("inversion did not reach tolerance")
-        return x
+        """Single-row form of invert_many; returns the own coordinate."""
+        return float(self.invert_many(np.atleast_2d(x_row), [z_target], tol)[0])

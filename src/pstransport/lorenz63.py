@@ -10,7 +10,7 @@ observed state).
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,11 +127,8 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
     y_pred = members[:, obs_index] + rng.normal(0.0, obs_sigma, size=n)
     joint = np.column_stack([y_pred, members[:, order[0]],
                              members[:, order[1]], members[:, order[2]]])
-    cfg = MapFitConfig(
-        adapt=fit_config.adapt,
-        adapt_monotone=fit_config.adapt_monotone,
-        fixed_monotone_log_lambda=fit_config.fixed_monotone_log_lambda,
-        max_outer=fit_config.max_outer,
+    cfg = replace(
+        fit_config,
         block_split=1,
         fit_upper=False,
         init_log_lambdas=[None] + list(warm_lambdas or [None, None, None]),

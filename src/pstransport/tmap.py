@@ -114,45 +114,54 @@ class TriangularMap:
             raise ValueError(f"component {j} was not fitted (upper block skipped)")
         return comp
 
+    def _invert_from(self, rows_std, z_cols, first):
+        """Fill columns ``first:`` of standardized rows so S_j(row) = z_cols[j - first]."""
+        for j in range(first, self.dim):
+            try:
+                rows_std[:, j] = self._component(j).invert_many(rows_std, z_cols[j - first])
+            except RuntimeError as exc:
+                raise type(exc)(f"inversion failed in component {j}: {exc}") from exc
+        return rows_std
+
     # -- evaluation ---------------------------------------------------------
 
-    def pushforward(self, x_row):
-        """z = S(x) for one state row."""
-        z = self._std(x_row)
-        return np.array([self._component(j).eval(z) for j in range(self.dim)])
+    def pushforward(self, x):
+        """z = S(x) for one state row or an (n, d) array of rows."""
+        Z = np.atleast_2d(self._std(x))
+        out = np.column_stack([self._component(j).eval_many(Z) for j in range(self.dim)])
+        return out[0] if np.ndim(x) == 1 else out
 
     def pushforward_ensemble(self, ensemble):
-        Z = (ensemble.data - self.center) / self.scale
-        out = np.column_stack(
-            [self._component(j).eval_many(Z) for j in range(self.dim)]
-        )
-        return Ensemble(out, [f"z_{name}" for name in ensemble.names])
+        return Ensemble(self.pushforward(ensemble.data),
+                        [f"z_{name}" for name in ensemble.names])
 
     def component_ddx(self, j, x_row):
         """dS_j/dx_j in original units."""
         z = self._std(x_row)
         return self._component(j).ddx(z[j]) / self.scale[j]
 
-    def log_pullback_density(self, x_row):
-        """log pi(x) = sum_j [log phi(S_j(x)) + log dS_j/dx_j]."""
-        z = self._std(x_row)
-        total = 0.0
+    def log_pullback_density(self, x):
+        """log pi(x) = sum_j [log phi(S_j(x)) + log dS_j/dx_j] for one row or an
+        (n, d) array of rows; -inf where some dS_j/dx_j is nonpositive."""
+        Z = np.atleast_2d(self._std(x))
+        total = np.zeros(Z.shape[0])
+        ok = np.ones(Z.shape[0], dtype=bool)
         for j in range(self.dim):
             comp = self._component(j)
-            sj = comp.eval(z)
-            dj = comp.ddx(z[j]) / self.scale[j]
-            if dj <= 0:
-                return -np.inf
-            total += -0.5 * sj ** 2 - 0.5 * np.log(2.0 * np.pi) + np.log(dj)
-        return total
+            sj = comp.eval_many(Z)
+            dj = comp.ddx(Z[:, j]) / self.scale[j]
+            ok &= dj > 0
+            total += -0.5 * sj ** 2 - 0.5 * np.log(2.0 * np.pi) \
+                + np.log(np.where(ok, dj, 1.0))
+        total = np.where(ok, total, -np.inf)
+        return total[0] if np.ndim(x) == 1 else total
 
-    def inverse(self, z_row):
-        """Full inverse by sequential one-dimensional solves."""
-        z_row = np.asarray(z_row, dtype=float)
-        x_std = np.zeros(self.dim)
-        for j in range(self.dim):
-            x_std[j] = self._component(j).invert_in_last(x_std, z_row[j])
-        return x_std * self.scale + self.center
+    def inverse(self, z):
+        """x = S^{-1}(z) for one reference row or an (n, d) array of rows, by
+        sequential solves in each component's own variable."""
+        Z = np.atleast_2d(np.asarray(z, dtype=float))
+        x = self._invert_from(np.zeros(Z.shape), Z.T, 0) * self.scale + self.center
+        return x[0] if np.ndim(z) == 1 else x
 
     # -- conditioning -------------------------------------------------------
 
@@ -171,14 +180,7 @@ class TriangularMap:
         zb = [self._component(j).eval_many(Z) for j in range(split, self.dim)]
         new_std = np.empty_like(Z)
         new_std[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
-        for j in range(split, self.dim):
-            try:
-                new_std[:, j] = self._component(j).invert_many(new_std, zb[j - split])
-            except RuntimeError as exc:
-                raise RuntimeError(
-                    f"inversion failed in component {j}: {exc}"
-                ) from exc
-        return new_std * self.scale + self.center
+        return self._invert_from(new_std, zb, split) * self.scale + self.center
 
     def sample_conditional(self, x_a_star, num, seed=None):
         """Draw block-b samples conditioned on block a = x_a_star."""
@@ -189,8 +191,7 @@ class TriangularMap:
         z = rng.standard_normal((num, nb))
         rows_std = np.empty((num, self.dim))
         rows_std[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
-        for j in range(split, self.dim):
-            rows_std[:, j] = self._component(j).invert_many(rows_std, z[:, j - split])
+        self._invert_from(rows_std, z.T, split)
         return rows_std[:, split:] * self.scale[split:] + self.center[split:]
 
     # -- serialization ------------------------------------------------------

@@ -135,7 +135,7 @@ def profile_lambda(config=None):
     for logl in _representative(config.grid[ok], argmin):
         tri = _assemble_map(tri0, cache, fits[float(logl)])
         push = tri.pushforward_ensemble(ensemble).data
-        pull = np.array([tri.inverse(z) for z in z_ref])
+        pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}
 
     return ProfileResult(table, clouds, argmin, float(logl_ad[0]), ensemble)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pstransport.component import MapComponent, NotInvertibleError, cumulative
 from pstransport.splines import KnotVector, SplineBasis
@@ -15,6 +16,13 @@ def make_component(raw=None):
     return MapComponent([0], 1, [non], mon, beta_non, raw)
 
 
+def expansion(comp, rows):
+    """Reference value per row: non(x0) @ beta_non + mon(x1) @ cumsum(raw)."""
+    return np.array([comp.non_bases[0].eval(x0) @ comp.beta_non
+                     + comp.mon_basis.eval(x1) @ np.cumsum(comp.beta_mon_raw)
+                     for x0, x1 in rows])
+
+
 def test_cumulative_reparametrization():
     raw = np.array([-2.0, 1.0, 0.5])
     assert np.array_equal(cumulative(raw), [-2.0, -1.0, -0.5])
@@ -22,18 +30,19 @@ def test_cumulative_reparametrization():
 
 def test_eval_is_additive():
     comp = make_component()
-    row = np.array([0.4, -0.7])
-    assert comp.eval(row) == pytest.approx(
-        comp.parent_term(row) + comp.monotone_term(row[1])
+    rows = np.array([[0.4, -0.7]])
+    mono = comp.mon_basis.eval(rows[0, 1]) @ np.cumsum(comp.beta_mon_raw)
+    assert comp.eval_many(rows)[0] == pytest.approx(
+        comp.parent_term_many(rows)[0] + mono
     )
 
 
 def test_monotone_in_own_variable():
     comp = make_component()
     xs = np.linspace(-4, 4, 200)
-    vals = [comp.eval(np.array([0.3, x])) for x in xs]
+    vals = comp.eval_many(np.column_stack([np.full(xs.size, 0.3), xs]))
     assert np.all(np.diff(vals) > 0)
-    assert np.all([comp.ddx(x) > 0 for x in xs])
+    assert np.all(comp.ddx(xs) > 0)
 
 
 def test_negative_increments_rejected():
@@ -51,29 +60,41 @@ def test_size_mismatch_rejected():
 def test_inversion_round_trip():
     comp = make_component()
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        row = rng.uniform(-3, 3, 2)
-        z = comp.eval(row)
-        x = comp.invert_in_last(row, z)
-        assert x == pytest.approx(row[1], abs=1e-8)
+    rows = rng.uniform(-3, 3, (50, 2))
+    x = comp.invert_many(rows, comp.eval_many(rows))
+    assert x == pytest.approx(rows[:, 1], abs=1e-8)
 
 
 def test_inversion_in_tails():
     comp = make_component()
-    row = np.array([0.0, 0.0])
-    for z in (-50.0, 50.0):
-        x = comp.invert_in_last(row, z)
-        assert abs(comp.eval(np.array([row[0], x])) - z) < 1e-9 * abs(z)
-        assert abs(x) > 2.0  # beyond the knot range
+    rows = np.zeros((2, 2))
+    z = np.array([-50.0, 50.0])
+    x = comp.invert_many(rows, z)
+    resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
+    assert np.all(resid < 1e-9 * np.abs(z))
+    assert np.all(np.abs(x) > 2.0)  # beyond the knot range
+    # the single-row form is the same solve
+    assert comp.invert_in_last(rows[1], z[1]) == x[1]
 
 
 def test_flat_component_not_invertible():
     raw = np.zeros(8)
     comp = make_component(raw=raw)
     with pytest.raises(NotInvertibleError):
-        comp.invert_in_last(np.array([0.0, 0.0]), 1.0)
+        comp.invert_many(np.zeros((1, 2)), np.array([1.0]))
     with pytest.raises(NotInvertibleError):
         comp.invert_many(np.zeros((3, 2)), np.array([0.5, 0.0, -0.5]))
+    # the error names the member farthest out of reach
+    with pytest.raises(NotInvertibleError, match="member 1, target 50,"):
+        comp.invert_many(np.zeros((3, 2)), np.array([5.0, 50.0, 10.0]))
+
+
+def test_unconverged_inversion_names_a_member():
+    comp = make_component()
+    rows = np.random.default_rng(6).uniform(-1, 1, (10, 2))
+    with pytest.raises(NotInvertibleError,
+                       match=r"did not reach tolerance: member \d+, target"):
+        comp.invert_many(rows, comp.eval_many(rows), max_iter=0)
 
 
 def test_vectorized_paths_match_scalar():
@@ -81,8 +102,7 @@ def test_vectorized_paths_match_scalar():
     rng = np.random.default_rng(7)
     rows = rng.uniform(-3, 3, (40, 2))
     ev = comp.eval_many(rows)
-    for i, row in enumerate(rows):
-        assert ev[i] == pytest.approx(comp.eval(row), abs=1e-12)
+    assert ev == pytest.approx(expansion(comp, rows), abs=1e-12)
     xs = comp.invert_many(rows, ev)
     assert np.max(np.abs(xs - rows[:, 1])) < 1e-8
 
@@ -107,3 +127,68 @@ def test_invert_many_steep_function():
     z = comp.eval_many(rows)
     xs = comp.invert_many(rows, z)
     assert np.max(np.abs(xs - rows[:, 1])) < 1e-6
+
+
+# -- property tests on the batch path ----------------------------------------
+
+SCALES = [1.0, 1e-6, 300.0]
+
+
+@st.composite
+def monotone_components(draw, flat_tail=None):
+    """Random component with positive tail slopes, or one flat tail.
+
+    Coefficients are scaled by 1, 1e-6 (near-flat) or 300 (steep); some
+    interior increments are zero. For clamped cubic knots the left and
+    right tail slopes are proportional to the first and last increment.
+    """
+    scale = draw(st.sampled_from(SCALES))
+    lo = draw(st.floats(-3.0, 1.0))
+    width = draw(st.floats(0.5, 6.0))
+    non = SplineBasis(KnotVector(np.linspace(lo, lo + width, draw(st.integers(4, 9))), 3))
+    mon = SplineBasis(KnotVector(np.linspace(lo, lo + width, draw(st.integers(4, 12))), 3))
+    num_incr = mon.num_basis - 1
+    incr = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=num_incr,
+                                  max_size=num_incr)))
+    zeros = draw(st.lists(st.booleans(), min_size=num_incr - 2, max_size=num_incr - 2))
+    incr[1:-1][np.array(zeros, dtype=bool)] = 0.0
+    if flat_tail == "left":
+        incr[0] = 0.0
+    elif flat_tail == "right":
+        incr[-1] = 0.0
+    level = draw(st.floats(-5.0, 5.0))
+    beta_non = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=non.num_basis,
+                                      max_size=non.num_basis)))
+    raw = scale * np.concatenate([[level], incr])
+    return MapComponent([0], 1, [non], mon, scale * beta_non, raw)
+
+
+def residual_contract(comp, x, z, tol=1e-10):
+    """Bound that invert_many promises on |S(x) - z|."""
+    resolvable = np.abs(comp.ddx(x)) * np.abs(x) * 2e-16
+    return 100 * (tol * np.maximum(1.0, np.abs(z)) + resolvable)
+
+
+@given(comp=monotone_components(), seed=st.integers(0, 2 ** 32 - 1))
+def test_invert_many_meets_residual_contract(comp, seed):
+    rng = np.random.default_rng(seed)
+    kn = comp.mon_basis.knots
+    rows = np.column_stack([rng.uniform(kn.first - 1, kn.last + 1, 24),
+                            rng.uniform(kn.first, kn.last, 24)])
+    z = comp.eval_many(rows)
+    z[:4] = [1e3, -1e3, 1e3, -1e3]
+    x = comp.invert_many(rows, z)
+    resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
+    assert np.all(resid <= residual_contract(comp, x, z))
+
+
+@given(side=st.sampled_from(["left", "right"]), data=st.data())
+def test_flat_tail_beyond_range_not_invertible(side, data):
+    comp = data.draw(monotone_components(flat_tail=side))
+    kn = comp.mon_basis.knots
+    edge = kn.first if side == "left" else kn.last
+    margin = np.max(np.abs(comp.beta_mon_raw)) + np.max(np.abs(comp.beta_non))
+    row = np.array([[0.0, edge]])
+    z = comp.eval_many(row) + (margin if side == "right" else -margin)
+    with pytest.raises(NotInvertibleError):
+        comp.invert_many(row, z)

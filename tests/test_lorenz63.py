@@ -103,6 +103,16 @@ def test_transport_update_moves_toward_observation():
     assert len(reports) == 3 and len(warm) == 3
 
 
+def test_transport_update_honours_fit_config():
+    rng = np.random.default_rng(3)
+    members = rng.standard_normal((100, 3))
+    _, reports, _ = transport_update(
+        members, 0.5, 0.25, 0, rng, MapFitConfig(max_outer=2, num_real_knots=5)
+    )
+    # S2 over (y, x_obs): 5 real cubic knots give 7 functions per block
+    assert reports[0].raw_basis == 14
+
+
 def test_run_filter_validation():
     with pytest.raises(ValueError):
         run_filter(Lorenz63Params(steps=2), 8, 0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+from pstransport.component import MapComponent, NotInvertibleError
+from pstransport.splines import KnotVector, SplineBasis
 from pstransport.tmap import (
     Ensemble,
     MapFitConfig,
@@ -178,3 +181,72 @@ def test_reports_expose_adaptation(fitted):
         assert r.converged
         assert np.isfinite(r.aicc)
         assert r.edf > 0
+
+
+def test_failed_conditioning_keeps_error_type():
+    # all-zero increments make the lower component flat in its own variable
+    non = SplineBasis(KnotVector(np.linspace(-2, 2, 5), 3))
+    mon = SplineBasis(KnotVector(np.linspace(-2, 2, 5), 3))
+    upper = MapComponent([], 0, [], mon, [], np.r_[-1.0, np.full(mon.num_basis - 1, 0.5)])
+    flat = MapComponent([0], 1, [non], mon, np.linspace(-1, 1, non.num_basis),
+                        np.r_[0.3, np.zeros(mon.num_basis - 1)])
+    tri = TriangularMap([upper, flat], np.zeros(2), np.ones(2), block_split=1)
+    members = np.random.default_rng(0).uniform(-1, 1, (20, 2))
+    with pytest.raises(NotInvertibleError, match="component 1"):
+        tri.conditional_update(members, np.array([0.5]))
+    with pytest.raises(NotInvertibleError, match="component 1"):
+        tri.sample_conditional(np.array([0.5]), 20, seed=0)
+
+
+def test_log_pullback_density_batch(fitted):
+    ens, tri, _ = fitted
+    rows = ens.data[:25]
+    batch = tri.log_pullback_density(rows)
+    assert batch.shape == (25,)
+    assert np.array_equal(batch, [tri.log_pullback_density(r) for r in rows])
+    # a component with a zero monotone term has no density anywhere
+    comp = tri.components[1]
+    flat = MapComponent(comp.parents, 1, comp.non_bases, comp.mon_basis, comp.beta_non,
+                        np.zeros(comp.beta_mon_raw.size))
+    tri_flat = TriangularMap([tri.components[0], flat], tri.center, tri.scale)
+    assert np.all(tri_flat.log_pullback_density(rows) == -np.inf)
+
+
+@st.composite
+def triangular_maps(draw):
+    """A 3-variable map over parents [], [0], [0, 1] with positive increments,
+    coefficients scaled by 1 or 300 (steep)."""
+    coef = draw(st.sampled_from([1.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def basis():
+        lo = rng.uniform(-3, 0)
+        return SplineBasis(KnotVector(np.linspace(lo, lo + rng.uniform(1, 4),
+                                                  rng.integers(4, 10)), 3))
+
+    comps = []
+    for j, parents in enumerate([[], [0], [0, 1]]):
+        non = [basis() for _ in parents]
+        mon = basis()
+        beta_non = coef * rng.uniform(-1, 1, sum(b.num_basis for b in non))
+        raw = coef * np.r_[rng.uniform(-2, 2), rng.uniform(0.05, 1, mon.num_basis - 1)]
+        comps.append(MapComponent(parents, j, non, mon, beta_non, raw))
+    return TriangularMap(comps, rng.uniform(-2, 2, 3), rng.uniform(0.5, 3, 3))
+
+
+@given(tri=triangular_maps(), seed=st.integers(0, 2 ** 32 - 1))
+def test_inverse_of_pushforward_on_batches(tri, seed):
+    X = tri.center + tri.scale * np.random.default_rng(seed).uniform(-4, 4, (30, 3))
+    Z = tri.pushforward(X)
+    X_back = tri.inverse(Z)
+    assert Z.shape == X_back.shape == X.shape
+    # each component meets the residual contract of invert_many ...
+    X_std = (X_back - tri.center) / tri.scale
+    for j, comp in enumerate(tri.components):
+        resolvable = np.abs(comp.ddx(X_std[:, j]) * X_std[:, j]) * 2e-16
+        bound = 100 * (1e-10 * np.maximum(1.0, np.abs(Z[:, j])) + resolvable)
+        assert np.all(np.abs(comp.eval_many(X_std) - Z[:, j]) <= bound)
+    # ... which pins x down to the residual over the slope, below 1e-6 for
+    # the slopes drawn here
+    assert np.max(np.abs(X_back - X)) < 1e-6
+    assert np.allclose(tri.inverse(Z[3]), X_back[3], atol=1e-12)
