@@ -111,17 +111,8 @@ def cmd_fit(config_path, out_dir, seed_offset, threads):
     doc = _load_config(config_path, _FIT_KEYS, required=("ensemble", "parent_sets"))
     ensemble = _read_ensemble_table(doc["ensemble"])
     _validate_parent_sets_config(doc["parent_sets"], ensemble.dim)
-    cfg = MapFitConfig(
-        degree=doc.get("degree", 3),
-        num_real_knots=doc.get("num_real_knots"),
-        adapt=doc.get("adapt", True),
-        adapt_monotone=doc.get("adapt_monotone", True),
-        fixed_monotone_log_lambda=doc.get("fixed_monotone_log_lambda", 10.0),
-        max_outer=doc.get("max_outer", 50),
-        standardize=doc.get("standardize", True),
-        block_split=doc.get("block_split", 0),
-        fit_upper=doc.get("fit_upper", True),
-    )
+    cfg = MapFitConfig(**{k: doc[k] for k in _FIT_KEYS
+                          if k in doc and k not in ("ensemble", "parent_sets", "seed")})
     chash = _config_hash(doc)
     seed = int(doc.get("seed", 0)) + seed_offset
     tri, reports = fit(ensemble, doc["parent_sets"], cfg)

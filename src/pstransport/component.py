@@ -80,10 +80,12 @@ class MapComponent:
             start += b.num_basis
 
     def ddx(self, x_own):
-        """Derivative of the monotone term; independent of the parents."""
-        if np.any(np.isnan(np.atleast_1d(x_own))):
-            raise ValueError("NaN coordinate")
-        return self.mon_basis.eval_deriv(x_own) @ self.beta_mon
+        """Derivative of the monotone term; independent of the parents.
+
+        A sum of nonnegative increments times nonnegative basis terms: exactly
+        >= 0, and exactly 0 where the increments around ``x_own`` are zero.
+        """
+        return self.mon_basis.eval_deriv_increments(x_own) @ self.beta_mon_raw
 
     def parent_term_many(self, rows):
         """Nonmonotone contribution for every row of an (n, d) array."""
@@ -118,17 +120,15 @@ class MapComponent:
         below = t < f_lo
         above = t > f_hi
         mid = ~(below | above)
-        # a tail slope is proportional to the end increment; with that increment
-        # zero, ddx returns rounding noise of either sign instead of 0
         if below.any():
             slope = float(self.ddx(kn.first))
-            if slope <= 0 or self.beta_mon_raw[1] == 0:
+            if slope <= 0:
                 raise _not_invertible("flat left tail; target below range",
                                       np.where(below, f_lo - t, -np.inf), z_targets)
             x[below] = kn.first + (t[below] - f_lo) / slope
         if above.any():
             slope = float(self.ddx(kn.last))
-            if slope <= 0 or self.beta_mon_raw[-1] == 0:
+            if slope <= 0:
                 raise _not_invertible("flat right tail; target above range",
                                       np.where(above, t - f_hi, -np.inf), z_targets)
             x[above] = kn.last + (t[above] - f_hi) / slope

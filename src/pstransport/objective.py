@@ -8,6 +8,14 @@ problem in the raw monotone parameters: level plus nonnegative
 increments, with the log term acting as a barrier that keeps the
 derivative positive at every sample.
 
+``DesignCache`` holds the design and its lambda-independent Gram
+matrices. ``profile_operators`` factors the nonmonotone system once per
+log-lambda and keeps that state, so the inner solver, the closed-form
+nonmonotone solve and the Hessians at one lambda share one Cholesky
+factor. One assembler builds the joint Hessian over (beta_non, free raw
+coordinates); its diagonal blocks give the per-block effective degrees
+of freedom.
+
 Smoothing parameters are adapted by descending an AICc outer objective
 whose gradient is computed with the implicit function theorem; every
 analytic derivative here is validated against finite differences in the
@@ -90,11 +98,14 @@ class DesignCache:
         self.P_mon = mon_basis.eval(own_samples)
         self.b = mon_basis.eval_deriv(own_samples)
         self.T = np.tril(np.ones((self.p, self.p)))
-        self.PT = self.P_mon @ self.T
-        self.bT = self.b @ self.T
+        # lambda-independent Grams of the design
+        self.G_nn = self.P_non.T @ self.P_non
+        self.G_nm = self.P_non.T @ self.P_mon
+        self.G_mm = self.P_mon.T @ self.P_mon
         self.non_grams = [make_penalty(s, penalty_order).gram for s in self.block_sizes]
         self.mon_gram = make_penalty(self.p, penalty_order).gram
         self.num_blocks = len(self.block_sizes) + 1
+        self._ops_key, self._ops = None, None
 
     # -- penalty assembly ---------------------------------------------------
 
@@ -120,30 +131,39 @@ class DesignCache:
     # -- reduced (profiled) objective --------------------------------------
 
     def profile_operators(self, log_lambdas):
-        """Operators of the reduced problem after eliminating beta_non.
+        """Operators (A, Q, D, lambdas) of the reduced problem after eliminating beta_non.
 
-        Returns (A, Q, solve_non) with A the profiled design, Q the
-        penalty of the reduced quadratic in beta_mon space, and
-        solve_non mapping beta_mon to the optimal beta_non.
+        A is the profiled design, Q the penalty of the reduced quadratic in
+        beta_mon space, ``beta_non = -D @ beta_mon`` the optimal nonmonotone
+        coefficients, and ``lambdas = exp(log_lambdas)``. The operators of
+        the last log-lambdas asked for are kept (exact match) and are
+        read-only.
         """
-        lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
+        key = np.array(log_lambdas, dtype=float)
+        if np.array_equal(key, self._ops_key):
+            return self._ops
+        lambdas = np.exp(key)
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
         S_mon = self.s_mon(lambdas)
         if self.m == 0:
-            return self.P_mon, S_mon, lambda beta_mon: np.zeros(0)
-        S_non = self.s_non(lambdas)
-        H = self.P_non.T @ self.P_non + S_non
-        try:
-            chol = cho_factor(H)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "singular nonmonotone system; increase lambda or ridge"
-            ) from exc
-        Dmat = cho_solve(chol, self.P_non.T @ self.P_mon)
-        A = self.P_mon - self.P_non @ Dmat
-        Q = Dmat.T @ S_non @ Dmat + S_mon
-        return A, Q, lambda beta_mon: -Dmat @ beta_mon
+            A, Q, D = self.P_mon.view(), S_mon, np.zeros((0, self.p))
+        else:
+            S_non = self.s_non(lambdas)
+            try:
+                chol = cho_factor(self.G_nn + S_non)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    "singular nonmonotone system; increase lambda or ridge"
+                ) from exc
+            D = cho_solve(chol, self.G_nm)
+            A = self.P_mon - self.P_non @ D
+            Q = D.T @ S_non @ D + S_mon
+        ops = (A, Q, D, lambdas)
+        for arr in ops:
+            arr.flags.writeable = False
+        self._ops_key, self._ops = key, ops
+        return ops
 
 
 @dataclass
@@ -167,54 +187,59 @@ class FitReport:
 # -- objective values -------------------------------------------------------
 
 
+def _slopes(cache, beta_mon):
+    """Monotone derivative at every sample; raises outside the barrier domain."""
+    s = cache.b @ beta_mon
+    if np.any(s <= 0):
+        raise BarrierViolationError("nonpositive monotone derivative at a sample")
+    return s
+
+
 def nll(cache, beta_non, beta_mon_raw):
     """Sample-summed transport objective at the given coefficients."""
     beta_mon = np.cumsum(beta_mon_raw)
     resid = cache.P_mon @ beta_mon
     if cache.m:
         resid = resid + cache.P_non @ beta_non
-    s = cache.b @ beta_mon
-    if np.any(s <= 0):
-        raise BarrierViolationError("nonpositive monotone derivative at a sample")
-    return 0.5 * float(resid @ resid) - float(np.sum(np.log(s)))
+    return 0.5 * float(resid @ resid) - float(np.sum(np.log(_slopes(cache, beta_mon))))
 
 
 def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
     """Optimal nonmonotone coefficients for fixed monotone coefficients."""
-    _, _, solve = cache.profile_operators(log_lambdas)
-    return solve(np.cumsum(beta_mon_raw))
+    D = cache.profile_operators(log_lambdas)[2]
+    return -D @ np.cumsum(beta_mon_raw)
+
+
+def _reduced_value(cache, ops, beta_mon):
+    """Profiled objective value, with the products its derivatives reuse."""
+    A, Q = ops[:2]
+    s = _slopes(cache, beta_mon)
+    Ab = A @ beta_mon
+    Qb = Q @ beta_mon
+    value = 0.5 * float(Ab @ Ab) - float(np.sum(np.log(s))) + 0.5 * float(beta_mon @ Qb)
+    return value, Ab, Qb, s
+
+
+def _trial_value(cache, ops, r):
+    """Profiled objective value at raw parameters; +inf outside the barrier domain."""
+    try:
+        return _reduced_value(cache, ops, np.cumsum(r))[0]
+    except BarrierViolationError:
+        return np.inf
 
 
 def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas, ops=None):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     if ops is None:
         ops = cache.profile_operators(log_lambdas)
-    A, Q, _ = ops
-    r = np.asarray(beta_mon_raw, dtype=float)
-    beta_mon = np.cumsum(r)
-    s = cache.b @ beta_mon
-    if np.any(s <= 0):
-        raise BarrierViolationError("nonpositive monotone derivative at a sample")
-    Ab = A @ beta_mon
-    Qb = Q @ beta_mon
-    value = 0.5 * float(Ab @ Ab) - float(np.sum(np.log(s))) + 0.5 * float(beta_mon @ Qb)
+    A, Q = ops[:2]
+    beta_mon = np.cumsum(np.asarray(beta_mon_raw, dtype=float))
+    value, Ab, Qb, s = _reduced_value(cache, ops, beta_mon)
     grad_mon = A.T @ Ab + Qb - cache.b.T @ (1.0 / s)
     grad = np.cumsum(grad_mon[::-1])[::-1]  # T^T v is a reverse cumulative sum
     H_mon = A.T @ A + Q + cache.b.T @ (cache.b / s[:, None] ** 2)
     hess = cache.T.T @ H_mon @ cache.T
     return value, grad, hess
-
-
-def _safe_value(cache, r, ops):
-    """Reduced objective value; +inf outside the barrier domain."""
-    A, Q, _ = ops
-    beta_mon = np.cumsum(r)
-    s = cache.b @ beta_mon
-    if np.any(s <= 0):
-        return np.inf
-    Ab = A @ beta_mon
-    return 0.5 * float(Ab @ Ab) - float(np.sum(np.log(s))) \
-        + 0.5 * float(beta_mon @ (Q @ beta_mon))
 
 
 # -- inner solver -----------------------------------------------------------
@@ -228,7 +253,7 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
     ops = cache.profile_operators(log_lambdas)
     r = cache.default_raw() if r0 is None else np.array(r0, dtype=float)
     r[1:] = np.maximum(r[1:], 0.0)
-    if not np.isfinite(_safe_value(cache, r, ops)):
+    if not np.isfinite(_trial_value(cache, ops, r)):
         r = cache.default_raw()
     value, grad, hess = reduced_penalized_objective(cache, r, log_lambdas, ops)
     converged = False
@@ -258,7 +283,7 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
             # at the numerical floor; take the plain Newton step if feasible
             cand = r + step
             cand[1:] = np.maximum(cand[1:], 0.0)
-            if np.isfinite(_safe_value(cache, cand, ops)):
+            if np.isfinite(_trial_value(cache, ops, cand)):
                 r = cand
                 _, grad, _ = reduced_penalized_objective(cache, r, log_lambdas, ops)
             converged = True
@@ -269,7 +294,7 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
         for _ in range(40):
             cand = r + alpha * step
             cand[1:] = np.maximum(cand[1:], 0.0)
-            v_new = _safe_value(cache, cand, ops)
+            v_new = _trial_value(cache, ops, cand)
             if v_new <= value + 1e-4 * float(grad @ (cand - r)) + slack:
                 accepted = True
                 break
@@ -287,67 +312,51 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
 # -- effective degrees of freedom and outer objective -----------------------
 
 
-def _free_mask(r):
-    free = np.ones(r.size, dtype=bool)
-    free[1:] = r[1:] > PIN_TOL
-    return free
+def _joint_hessian(cache, r_hat, lambdas):
+    """Unpenalized Hessian Hu and penalty Pen over (beta_non, free raw coords).
 
-
-def _hessian_pieces(cache, log_lambdas, r_hat, free=None):
-    """Unpenalized and penalized Hessians over (beta_non, free raw coords)."""
-    lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
-    if free is None:
-        free = _free_mask(r_hat)
+    Increments pinned at zero are left out. Also returns the smoothing
+    blocks as (slice, unit-lambda penalty) pairs, parents first and
+    monotone last, the free mask, ``b @ T`` on the free columns and the
+    monotone derivative at every sample.
+    """
+    free = np.ones(r_hat.size, dtype=bool)
+    free[1:] = r_hat[1:] > PIN_TOL
     Tf = cache.T[:, free]
-    beta_mon = np.cumsum(r_hat)
-    s = cache.b @ beta_mon
-    if np.any(s <= 0):
-        raise BarrierViolationError("nonpositive monotone derivative at a sample")
-    PTf = cache.P_mon @ Tf
+    s = _slopes(cache, np.cumsum(r_hat))
     bTf = cache.b @ Tf
-    C_mon = bTf.T @ (bTf / s[:, None] ** 2)
     m = cache.m
     k = m + Tf.shape[1]
-    Hu = np.zeros((k, k))
-    Hp_pen = np.zeros((k, k))
-    Hu[m:, m:] = PTf.T @ PTf + C_mon
-    S_mon = cache.s_mon(lambdas)
-    Hp_pen[m:, m:] = Tf.T @ S_mon @ Tf
-    if m:
-        Hu[:m, :m] = cache.P_non.T @ cache.P_non
-        Hu[:m, m:] = cache.P_non.T @ PTf
-        Hu[m:, :m] = Hu[:m, m:].T
-        Hp_pen[:m, :m] = cache.s_non(lambdas)
-    Hp = Hu + Hp_pen
-    return Hu, Hp, free, Tf, bTf, s
+    Hu = np.empty((k, k))
+    Pen = np.zeros((k, k))
+    Hu[:m, :m] = cache.G_nn
+    Hu[:m, m:] = cache.G_nm @ Tf
+    Hu[m:, :m] = Hu[:m, m:].T
+    Hu[m:, m:] = Tf.T @ cache.G_mm @ Tf + bTf.T @ (bTf / s[:, None] ** 2)
+    Pen[:m, :m] = cache.s_non(lambdas)
+    Pen[m:, m:] = Tf.T @ cache.s_mon(lambdas) @ Tf
+    blocks = list(zip(cache.non_slices, cache.non_grams))
+    blocks.append((slice(m, k), Tf.T @ cache.mon_gram @ Tf))
+    return Hu, Pen, blocks, free, bTf, s
 
 
-def _block_hessians(cache, log_lambdas, r_hat, free=None):
-    """Per-block (unpenalized, penalized) Hessian pairs.
+def _block_factors(Hu, Pen, blocks):
+    """Cholesky factor of each diagonal block of Hu + Pen, with Hp_b^-1 Hu_b.
 
     Each block is taken with the other blocks' coefficients held fixed;
     this keeps the lambda -> infinity limit at the penalty null-space
     dimension per block even though the additive level is shared.
     """
-    lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
-    if free is None:
-        free = _free_mask(r_hat)
-    Tf = cache.T[:, free]
-    beta_mon = np.cumsum(r_hat)
-    s = cache.b @ beta_mon
-    if np.any(s <= 0):
-        raise BarrierViolationError("nonpositive monotone derivative at a sample")
-    pairs = []
-    for lam, gram, sl in zip(lambdas[:-1], cache.non_grams, cache.non_slices):
-        P = cache.P_non[:, sl]
-        Hu = P.T @ P
-        pairs.append((Hu, Hu + lam * gram + RIDGE * np.eye(Hu.shape[0])))
-    bTf = cache.b @ Tf
-    PTf = cache.P_mon @ Tf
-    Hu_m = PTf.T @ PTf + bTf.T @ (bTf / s[:, None] ** 2)
-    Hp_m = Hu_m + Tf.T @ cache.s_mon(lambdas) @ Tf
-    pairs.append((Hu_m, Hp_m))
-    return pairs, free, Tf, bTf, s
+    factors = []
+    for sl, _ in blocks:
+        try:
+            chol = cho_factor(Hu[sl, sl] + Pen[sl, sl])
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "penalized Hessian not positive definite"
+            ) from exc
+        factors.append((chol, cho_solve(chol, Hu[sl, sl])))
+    return factors
 
 
 def edf(cache, r_hat, log_lambdas, per_block=False):
@@ -356,20 +365,13 @@ def edf(cache, r_hat, log_lambdas, per_block=False):
     With ``per_block=True`` also returns the per-block traces
     (parents first, monotone last).
     """
-    pairs, _, _, _, _ = _block_hessians(cache, log_lambdas, r_hat)
-    blocks = []
-    for Hu, Hp in pairs:
-        try:
-            chol = cho_factor(Hp)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "penalized Hessian not positive definite"
-            ) from exc
-        blocks.append(float(np.trace(cho_solve(chol, Hu))))
-    total = float(sum(blocks))
+    lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
+    Hu, Pen, blocks = _joint_hessian(cache, r_hat, lambdas)[:3]
+    traces = [float(np.trace(W)) for _, W in _block_factors(Hu, Pen, blocks)]
+    total = float(sum(traces))
     if not per_block:
         return total
-    return total, np.array(blocks)
+    return total, np.array(traces)
 
 
 def _aicc_penalty(edf_value, n):
@@ -407,58 +409,34 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     pinned at zero with a positive multiplier are removed from the
     implicit system (their sensitivity vanishes).
     """
-    lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
-    _, Hp, free, Tf, bTf, s = _hessian_pieces(cache, log_lambdas, r_hat)
-    pairs, _, _, _, _ = _block_hessians(cache, log_lambdas, r_hat, free=free)
-    m = cache.m
-    chol = cho_factor(Hp)
-    edf_value = float(sum(np.trace(cho_solve(cho_factor(hp), hu))
-                          for hu, hp in pairs))
+    _, _, D, lambdas = cache.profile_operators(log_lambdas)
+    Hu, Pen, blocks, free, bTf, s = _joint_hessian(cache, r_hat, lambdas)
+    factors = _block_factors(Hu, Pen, blocks)
+    edf_value = float(sum(np.trace(W) for _, W in factors))
     penprime = _aicc_penalty_deriv(edf_value, cache.n)
-
-    beta_non = solve_non_closed_form(cache, r_hat, log_lambdas)
-    r_free = r_hat[free]
-    beta_free = np.concatenate([beta_non, r_free])
-
+    beta = np.concatenate([-D @ np.cumsum(r_hat), r_hat[free]])
     # unpenalized gradient at the optimum: minus the penalty gradient
-    S_mon = cache.s_mon(lambdas)
-    gL = np.zeros(beta_free.size)
-    gL[m:] = -(Tf.T @ S_mon @ (Tf @ r_free))
-    if m:
-        gL[:m] = -(cache.s_non(lambdas) @ beta_non)
+    gL = -Pen @ beta
+
+    # d beta / d log lambda_b = -Hp^-1 (lambda_b G_b beta), one column per block
+    rhs = np.zeros((beta.size, len(blocks)))
+    for col, (lam, (sl, gram)) in enumerate(zip(lambdas, blocks)):
+        rhs[sl, col] = lam * (gram @ beta[sl])
+    dbeta = -cho_solve(cho_factor(Hu + Pen), rhs)
 
     # only the monotone block's edf depends on beta (through the barrier)
-    Hu_m, Hp_m = pairs[-1]
-    chol_m = cho_factor(Hp_m)
-    Wm = cho_solve(chol_m, Hu_m)
-    Vm = cho_solve(chol_m, np.eye(Hp_m.shape[0]))
-    Nm = (np.eye(Hp_m.shape[0]) - Wm) @ Vm
-    q = np.einsum("ij,ij->i", bTf @ Nm, bTf)
-    grad_edf = np.zeros(beta_free.size)
-    grad_edf[m:] = -2.0 * bTf.T @ (q / s ** 3)
+    chol_m, W_m = factors[-1]
+    V_m = cho_solve(chol_m, np.eye(W_m.shape[0]))
+    q = np.einsum("ij,ij->i", bTf @ (V_m - W_m @ V_m), bTf)
+    grad_edf = np.zeros(beta.size)
+    grad_edf[cache.m:] = -2.0 * bTf.T @ (q / s ** 3)
 
-    grads = np.zeros(cache.num_blocks)
-    for blk in range(cache.num_blocks):
-        lam = lambdas[blk]
-        G_emb = np.zeros_like(Hp)
-        if blk < cache.num_blocks - 1:
-            sl = cache.non_slices[blk]
-            G_emb[sl, sl] = cache.non_grams[blk]
-            gram_blk = cache.non_grams[blk]
-        else:
-            G_emb[m:, m:] = Tf.T @ cache.mon_gram @ Tf
-            gram_blk = G_emb[m:, m:]
-        dbeta = -cho_solve(chol, lam * (G_emb @ beta_free))
-        Hu_b, Hp_b = pairs[blk]
-        chol_b = cho_factor(Hp_b)
-        W_b = cho_solve(chol_b, Hu_b)
-        dedf_explicit = -lam * float(np.sum(cho_solve(chol_b, gram_blk) * W_b.T))
-        dnll = float(gL @ dbeta)
-        dedf = dedf_explicit + float(grad_edf @ dbeta)
-        grads[blk] = dnll + penprime * dedf
-    return grads
+    # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
+    dedf = np.array([-lam * float(np.sum(cho_solve(chol, gram) * W.T))
+                     for lam, (_, gram), (chol, W) in zip(lambdas, blocks, factors)])
+    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta)
 
 
 # -- outer optimizer --------------------------------------------------------

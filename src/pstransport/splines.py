@@ -137,8 +137,8 @@ class SplineBasis:
         # boundary values/slopes used for the affine tails
         self._val_first = self._interior(np.array([knots.first]))[0]
         self._val_last = self._interior(np.array([knots.last]))[0]
-        self._slope_first = self._interior_deriv(np.array([knots.first]))[0]
-        self._slope_last = self._interior_deriv(np.array([knots.last]))[0]
+        ends = self._increments(np.array([knots.first, knots.last]))
+        self._slope_first, self._slope_last = ends[:, :-1] - ends[:, 1:]
 
     def _levels(self, x):
         """Cox-de Boor recursion; returns per-degree basis tables for interior x."""
@@ -171,19 +171,20 @@ class SplineBasis:
     def _interior(self, x):
         return self._levels(x)[-1]
 
-    def _interior_deriv(self, x):
+    def _increments(self, x):
+        """d / (t_{i+d} - t_i) * N_{i,d-1}(x) for i = 0..num_basis (0 on empty spans).
+
+        Adjacent differences of these columns are the basis derivatives.
+        """
         d = self.degree
         n = self.num_basis
         if d == 0:
-            return np.zeros((len(x), n))
+            return np.zeros((len(x), n + 1))
         tp = self.knots.padded
-        prev = self._levels(x)[d - 1]
-        left_den = tp[d : d + n] - tp[:n]
-        right_den = tp[d + 1 : d + 1 + n] - tp[1 : 1 + n]
+        den = tp[d : d + n + 1] - tp[: n + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(left_den > 0, d / left_den, 0.0)
-            right = np.where(right_den > 0, d / right_den, 0.0)
-        return left * prev[:, :n] - right * prev[:, 1 : n + 1]
+            scale = np.where(den > 0, d / den, 0.0)
+        return scale * self._levels(x)[d - 1]
 
     def eval(self, x):
         """Basis values at ``x`` (scalar or 1-d array) -> (..., num_basis)."""
@@ -203,21 +204,30 @@ class SplineBasis:
             out[hi] = self._val_last + (x[hi, None] - self.knots.last) * self._slope_last
         return out[0] if scalar else out
 
-    def eval_deriv(self, x):
-        """Basis derivatives at ``x``; constant in the affine tails."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
+    def _clamped_increments(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(np.isnan(x)):
             raise ValueError("NaN input to basis evaluation")
-        out = np.empty((x.size, self.num_basis))
-        lo = x < self.knots.first
-        hi = x > self.knots.last
-        mid = ~(lo | hi)
-        if np.any(mid):
-            out[mid] = self._interior_deriv(x[mid])
-        out[lo] = self._slope_first
-        out[hi] = self._slope_last
-        return out[0] if scalar else out
+        return self._increments(np.clip(x, self.knots.first, self.knots.last))
+
+    def eval_deriv(self, x):
+        """Basis derivatives at ``x``; constant in the affine tails."""
+        W = self._clamped_increments(x)
+        out = W[:, :-1] - W[:, 1:]
+        return out[0] if np.ndim(x) == 0 else out
+
+    def eval_deriv_increments(self, x):
+        """Derivative in increment form at ``x`` -> (..., num_basis).
+
+        Column i is ``d / (t_{i+d} - t_i) * N_{i,d-1}(x)``, constant in the
+        affine tails, so ``eval_deriv_increments(x) @ raw`` is the derivative
+        of the expansion with coefficients ``cumsum(raw)`` (the boundary
+        knots are clamped, so column 0 and the dropped last column vanish).
+        Every entry is >= 0: with nonnegative increments the sum is exactly
+        >= 0, and exactly 0 where the increments around x are zero.
+        """
+        out = self._clamped_increments(x)[:, :-1]
+        return out[0] if np.ndim(x) == 0 else out
 
     def greville(self):
         """Greville abscissae; using them as coefficients reproduces f(x)=x."""

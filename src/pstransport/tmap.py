@@ -135,10 +135,9 @@ class TriangularMap:
         return Ensemble(self.pushforward(ensemble.data),
                         [f"z_{name}" for name in ensemble.names])
 
-    def component_ddx(self, j, x_row):
-        """dS_j/dx_j in original units."""
-        z = self._std(x_row)
-        return self._component(j).ddx(z[j]) / self.scale[j]
+    def component_ddx(self, j, x):
+        """dS_j/dx_j in original units for one row or an (n, d) array of rows."""
+        return self._component(j).ddx(self._std(x)[..., j]) / self.scale[j]
 
     def log_pullback_density(self, x):
         """log pi(x) = sum_j [log phi(S_j(x)) + log dS_j/dx_j] for one row or an
@@ -298,9 +297,12 @@ def fit(ensemble, parent_sets, config=None):
                          config.block_split), reports
 
 
-def _fit_component(Z, j, parents, config):
-    mon_knots = make_knots(Z[:, j], config.degree, config.num_real_knots)
-    mon_basis = SplineBasis(mon_knots)
+def _component_design(Z, j, parents, config):
+    """Knots, kept parents and DesignCache of component j on standardized Z.
+
+    Constant parents are dropped with a warning.
+    """
+    mon_basis = SplineBasis(make_knots(Z[:, j], config.degree, config.num_real_knots))
     non_bases, kept_parents = [], []
     for p in parents:
         try:
@@ -312,6 +314,18 @@ def _fit_component(Z, j, parents, config):
         kept_parents.append(p)
     cache = DesignCache(non_bases, [Z[:, p] for p in kept_parents],
                         mon_basis, Z[:, j], config.penalty_order)
+    return cache, kept_parents
+
+
+def _component_from_fit(cache, parents, j, log_lambdas, r_hat):
+    """MapComponent j from raw monotone parameters fitted at log_lambdas."""
+    beta_non = solve_non_closed_form(cache, r_hat, log_lambdas)
+    return MapComponent(parents, j, cache.non_bases, cache.mon_basis,
+                        beta_non, r_hat, log_lambdas)
+
+
+def _fit_component(Z, j, parents, config):
+    cache, kept_parents = _component_design(Z, j, parents, config)
     logl0 = np.full(cache.num_blocks, config.init_log_lambda)
     if not config.adapt_monotone:
         logl0[-1] = config.fixed_monotone_log_lambda
@@ -326,7 +340,4 @@ def _fit_component(Z, j, parents, config):
     else:
         logl = logl0
         _, report, r_hat = outer_objective(cache, logl)
-    beta_non = solve_non_closed_form(cache, r_hat, logl)
-    comp = MapComponent(kept_parents, j, non_bases, mon_basis,
-                        beta_non, r_hat, logl)
-    return comp, report
+    return _component_from_fit(cache, kept_parents, j, logl, r_hat), report

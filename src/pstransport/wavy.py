@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import DesignCache, adapt_lambdas, outer_objective, \
-    solve_non_closed_form
-from .splines import SplineBasis, make_knots
-from .component import MapComponent
-from .tmap import Ensemble, MapFitConfig, TriangularMap, fit
+from .objective import adapt_lambdas, outer_objective
+from .tmap import Ensemble, MapFitConfig, TriangularMap, _component_design, \
+    _component_from_fit, fit
 
 __all__ = ["WavyConfig", "ProfileResult", "sample_wavy", "profile_lambda"]
 
@@ -76,19 +74,6 @@ class ProfileResult:
     ensemble: Ensemble
 
 
-def _fixed_lambda_map(ensemble, config, log_lambda_non):
-    """Fit the 2-d map with all smoothing parameters held fixed."""
-    cfg = MapFitConfig(
-        num_real_knots=config.num_real_knots,
-        adapt=False,
-        init_log_lambdas=[
-            np.array([config.fixed_monotone_log_lambda]),
-            np.array([log_lambda_non, config.fixed_monotone_log_lambda]),
-        ],
-    )
-    return fit(ensemble, [[], [0]], cfg)
-
-
 def profile_lambda(config=None):
     """Sweep the nonmonotone smoothing parameter of S2 over the grid.
 
@@ -98,14 +83,20 @@ def profile_lambda(config=None):
     """
     config = config or WavyConfig()
     ensemble = config.generator(config.n, config.seed)
-    Z1 = ensemble.data[:, 0]
-    # standardized coordinates of the full map fit are shared by all grid
-    # points, so build the second-component design once
-    tri0, _ = _fixed_lambda_map(ensemble, config, 0.0)
+    # standardized coordinates of the full map fit (all smoothing parameters
+    # fixed) are shared by all grid points, so build the second-component
+    # design once
+    map_config = MapFitConfig(
+        num_real_knots=config.num_real_knots,
+        adapt=False,
+        init_log_lambdas=[
+            np.array([config.fixed_monotone_log_lambda]),
+            np.array([0.0, config.fixed_monotone_log_lambda]),
+        ],
+    )
+    tri0, _ = fit(ensemble, [[], [0]], map_config)
     Zs = (ensemble.data - tri0.center) / tri0.scale
-    mon_basis = SplineBasis(make_knots(Zs[:, 1], 3, config.num_real_knots))
-    non_basis = SplineBasis(make_knots(Zs[:, 0], 3, config.num_real_knots))
-    cache = DesignCache([non_basis], [Zs[:, 0]], mon_basis, Zs[:, 1], 2)
+    cache, parents = _component_design(Zs, 1, [0], map_config)
 
     table = np.full((config.grid.size, 4), np.nan)
     fits = {}
@@ -133,7 +124,9 @@ def profile_lambda(config=None):
     rng = np.random.default_rng(config.seed + 1)
     z_ref = rng.standard_normal((config.num_pullback, 2))
     for logl in _representative(config.grid[ok], argmin):
-        tri = _assemble_map(tri0, cache, fits[float(logl)])
+        comp = _component_from_fit(cache, parents, 1, *fits[float(logl)])
+        tri = TriangularMap([tri0.components[0], comp], tri0.center, tri0.scale,
+                            tri0.names, tri0.block_split)
         push = tri.pushforward_ensemble(ensemble).data
         pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}
@@ -151,13 +144,3 @@ def _representative(grid, argmin):
         if grid[i] not in seen:
             seen.append(grid[i])
     return seen
-
-
-def _assemble_map(tri0, cache, fitted):
-    """Replace the second component of tri0 by a fit at given lambdas."""
-    logls, r_hat = fitted
-    beta_non = solve_non_closed_form(cache, r_hat, logls)
-    comp = MapComponent([0], 1, cache.non_bases, cache.mon_basis,
-                        beta_non, r_hat, logls)
-    return TriangularMap([tri0.components[0], comp], tri0.center, tri0.scale,
-                         tri0.names, tri0.block_split)

@@ -45,6 +45,24 @@ def test_fit_roundtrip(tmp_path, gaussian_table):
     assert report.startswith("# config_hash=")
 
 
+def test_fit_config_keys_reach_outputs(tmp_path, gaussian_table):
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]],
+                      "degree": 2, "num_real_knots": 5, "max_outer": 1})
+    out = tmp_path / "out"
+    assert run(["fit", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    doc = json.loads((out / "map.json").read_text())
+    for comp in doc["components"]:
+        assert comp["degree"] == 2
+        assert len(comp["mon_knots"]) == 5
+        assert all(len(k) == 5 for k in comp["non_knots"])
+        assert len(comp["beta_mon_raw"]) == 6  # real knots + degree - 1
+    rows = [line.split("\t") for line in (out / "fit_report.tsv").read_text().splitlines()
+            if not line.startswith(("#", "component"))]
+    assert len(rows) == 2
+    assert all(int(row[-1]) <= 1 for row in rows)
+
+
 def test_missing_input_is_config_error(tmp_path):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": str(tmp_path / "nope.tsv"),

@@ -147,6 +147,59 @@ def test_edf_limits(cache):
     assert hi[1] == pytest.approx(2.0, abs=0.1)
 
 
+def two_parent_cache(n=120, seed=3):
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.standard_normal((2, n))
+    x3 = np.sin(x1) + 0.5 * x2 + 0.4 * rng.standard_normal(n)
+    bases = [SplineBasis(make_knots(x, 3, k)) for x, k in ((x1, 6), (x2, 8), (x3, 7))]
+    return DesignCache(bases[:2], [x1, x2], bases[2], x3, 2)
+
+
+def test_profile_operators_kept_per_lambda():
+    logl1, logl2 = np.array([0.5, -1.0, 1.5]), np.array([2.0, 0.0, 1.0])
+    cache = two_parent_cache()
+    first = cache.profile_operators(logl1)
+    cache.profile_operators(logl2)
+    again = cache.profile_operators(logl1)
+    fresh = two_parent_cache().profile_operators(logl1)
+    assert len(again) == 4
+    for got, want in zip(again, fresh):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 0.0
+    assert np.array_equal(first[2], again[2])
+    A, Q, D, lambdas = again
+    assert np.array_equal(lambdas, np.exp(logl1))
+    r = feasible_raw(cache)
+    assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ np.cumsum(r))
+
+
+def test_edf_blocks_match_explicit_formula():
+    """Per-block traces tr[(P_k'P_k + lambda_k G_k + ridge I)^-1 P_k'P_k], the
+    monotone block over the free raw coordinates with the barrier curvature."""
+    cache = two_parent_cache()
+    logl = np.array([0.5, -1.0, 1.5])
+    lambdas = np.exp(logl)
+    r_hat = fit_inner(cache, logl)[0]
+    total, blocks = edf(cache, r_hat, logl, per_block=True)
+    expected = []
+    for lam, gram, sl in zip(lambdas, cache.non_grams, cache.non_slices):
+        P = cache.P_non[:, sl]
+        Hu = P.T @ P
+        Hp = Hu + lam * gram + RIDGE * np.eye(gram.shape[0])
+        expected.append(np.trace(np.linalg.solve(Hp, Hu)))
+    free = np.r_[True, r_hat[1:] > 1e-12]
+    Tf = np.tril(np.ones((cache.p, cache.p)))[:, free]
+    PT, bT = cache.P_mon @ Tf, cache.b @ Tf
+    s = cache.b @ np.cumsum(r_hat)
+    Hu = PT.T @ PT + bT.T @ (bT / s[:, None] ** 2)
+    Hp = Hu + Tf.T @ (lambdas[-1] * cache.mon_gram + RIDGE * np.eye(cache.p)) @ Tf
+    expected.append(np.trace(np.linalg.solve(Hp, Hu)))
+    assert blocks == pytest.approx(expected, rel=1e-9)
+    assert total == pytest.approx(sum(expected), rel=1e-9)
+
+
 def test_edf_decreases_with_lambda(cache):
     logls = [np.array([v, v]) for v in (-4.0, 0.0, 4.0, 8.0)]
     vals = [edf(cache, fit_inner(cache, l)[0], l) for l in logls]

@@ -107,6 +107,34 @@ def test_scalar_and_array_eval_agree(basis):
 def test_nan_input_rejected(basis):
     with pytest.raises(ValueError):
         basis.eval(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        basis.eval_deriv_increments(np.array([0.0, np.nan]))
+
+
+def test_derivative_increment_form_is_exact():
+    """``eval_deriv_increments(x) @ raw`` is the derivative of the expansion
+    with coefficients cumsum(raw): nonnegative entries, so exactly 0 where
+    the increments around x are zero, and constant in the affine tails."""
+    basis = SplineBasis(KnotVector(np.linspace(-2.0, 2.0, 9), degree=3))
+    raw = np.random.default_rng(3).uniform(0.1, 1.0, basis.num_basis)
+    raw[0] = 3.7
+    raw[3:7] = 0.0
+    x = np.linspace(-3.0, 3.0, 2001)
+    table = basis.eval_deriv_increments(x)
+    assert table.shape == (x.size, basis.num_basis)
+    assert np.all(table >= 0)
+    assert np.all(table[:, 0] == 0)
+    fused = basis.eval_deriv(x) @ np.cumsum(raw)
+    exact = table @ raw
+    assert np.max(np.abs(exact - fused)) < 5e-14
+    assert np.all(exact >= 0)
+    # the span between knots 2 and 3 (x in [-1, -0.5]) only sees increments 3..6
+    flat = (x >= -1.0) & (x <= -0.5)
+    assert np.all(exact[flat] == 0)
+    for edge, tail in ((-2.0, x < -2.0), (2.0, x > 2.0)):
+        assert np.all(table[tail] == basis.eval_deriv_increments(edge))
+    assert np.array_equal(basis.eval_deriv_increments(0.3),
+                          basis.eval_deriv_increments(np.array([0.3]))[0])
 
 
 def test_penalty_null_space():

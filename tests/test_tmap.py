@@ -212,6 +212,31 @@ def test_log_pullback_density_batch(fitted):
     assert np.all(tri_flat.log_pullback_density(rows) == -np.inf)
 
 
+def test_zero_increments_give_no_density(fitted):
+    """With every increment zero the monotone term is flat whatever its level:
+    its derivative is exactly 0, so the density is -inf on every row."""
+    ens, tri, _ = fitted
+    rows = ens.data[:25]
+    comp = tri.components[1]
+    raw = np.zeros(comp.beta_mon_raw.size)
+    raw[0] = 0.7
+    flat = MapComponent(comp.parents, 1, comp.non_bases, comp.mon_basis, comp.beta_non,
+                        raw)
+    tri_flat = TriangularMap([tri.components[0], flat], tri.center, tri.scale)
+    assert np.all(tri_flat.component_ddx(1, rows) == 0)
+    assert np.all(tri_flat.log_pullback_density(rows) == -np.inf)
+
+
+def test_component_ddx_batch(fitted):
+    ens, tri, _ = fitted
+    rows = ens.data[:25]
+    for j in range(tri.dim):
+        batch = tri.component_ddx(j, rows)
+        assert batch.shape == (25,)
+        assert np.all(batch > 0)
+        assert np.array_equal(batch, [tri.component_ddx(j, r) for r in rows])
+
+
 @st.composite
 def triangular_maps(draw):
     """A 3-variable map over parents [], [0], [0, 1] with positive increments,
