@@ -106,6 +106,7 @@ class DesignCache:
         self.mon_gram = make_penalty(self.p, penalty_order).gram
         self.num_blocks = len(self.block_sizes) + 1
         self._ops_key, self._ops = None, None
+        self._hess_key, self._hess = None, None
 
     # -- penalty assembly ---------------------------------------------------
 
@@ -359,15 +360,38 @@ def _block_factors(Hu, Pen, blocks):
     return factors
 
 
+def _factored_hessian(cache, r_hat, log_lambdas):
+    """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
+
+    Returns ``(Hu, Pen, blocks, free, bTf, s, factors)`` as built by
+    ``_joint_hessian`` and ``_block_factors``. The state of the last
+    (log_lambdas, r_hat) asked for is kept on the cache (exact match) and
+    is read-only, so ``edf`` in ``outer_objective`` and the
+    ``outer_gradient`` that follows at the accepted point assemble and
+    factor once.
+    """
+    log_lambdas = np.asarray(log_lambdas, dtype=float)
+    key = np.concatenate([log_lambdas, r_hat])
+    if np.array_equal(key, cache._hess_key):
+        return cache._hess
+    Hu, Pen, blocks, free, bTf, s = _joint_hessian(cache, r_hat, np.exp(log_lambdas))
+    factors = _block_factors(Hu, Pen, blocks)
+    for arr in (Hu, Pen, free, bTf, s, blocks[-1][1],
+                *(a for (chol, W) in factors for a in (chol[0], W))):
+        arr.flags.writeable = False
+    state = (Hu, Pen, tuple(blocks), free, bTf, s, tuple(factors))
+    cache._hess_key, cache._hess = key, state
+    return state
+
+
 def edf(cache, r_hat, log_lambdas, per_block=False):
     """Effective degrees of freedom tr[Hpen^-1 Hunpen], summed over blocks.
 
     With ``per_block=True`` also returns the per-block traces
     (parents first, monotone last).
     """
-    lambdas = np.exp(np.asarray(log_lambdas, dtype=float))
-    Hu, Pen, blocks = _joint_hessian(cache, r_hat, lambdas)[:3]
-    traces = [float(np.trace(W)) for _, W in _block_factors(Hu, Pen, blocks)]
+    factors = _factored_hessian(cache, r_hat, log_lambdas)[-1]
+    traces = [float(np.trace(W)) for _, W in factors]
     total = float(sum(traces))
     if not per_block:
         return total
@@ -412,8 +436,7 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
     _, _, D, lambdas = cache.profile_operators(log_lambdas)
-    Hu, Pen, blocks, free, bTf, s = _joint_hessian(cache, r_hat, lambdas)
-    factors = _block_factors(Hu, Pen, blocks)
+    Hu, Pen, blocks, free, bTf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
     edf_value = float(sum(np.trace(W) for _, W in factors))
     penprime = _aicc_penalty_deriv(edf_value, cache.n)
     beta = np.concatenate([-D @ np.cumsum(r_hat), r_hat[free]])

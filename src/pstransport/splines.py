@@ -6,6 +6,15 @@ samples, padded by repeating the boundary knots ``degree`` times on each
 side. Outside the real knot range the basis is extended affinely
 (value plus slope at the nearest boundary knot), so any coefficient
 expansion built on it is exactly linear in the tails.
+
+Inside the range, bases are evaluated locally (de Boor 1972, "On
+calculating with B-splines"): a sample finds its knot span by binary
+search and only the degree+1 basis functions that are nonzero there are
+computed, then scattered into the dense tables the callers read. Spans
+are half-open, [t_s, t_{s+1}), except that the last real knot belongs to
+the last nonempty span. Each nonzero entry is formed from the same two
+products, summed in the same order, as in the full-width recursion over
+every basis function, so the tables are identical to it bit for bit.
 """
 
 import logging
@@ -125,51 +134,70 @@ def make_knots(samples, degree=3, num_real_knots=None):
 class SplineBasis:
     """Evaluates all B-spline basis functions of one knot vector.
 
-    Inside the real knot range values come from the Cox-de Boor recursion;
-    outside, each basis function is continued affinely from the nearest
-    boundary knot so that coefficient expansions have exactly linear tails.
+    Inside the real knot range a sample x in the span [t_s, t_{s+1}) has
+    k+1 nonzero functions of each degree k, N_{s-k,k} .. N_{s,k}; only
+    those are computed, by de Boor's local recursion, and the dense
+    tables the methods return are zero elsewhere. Outside the range each
+    basis function is continued affinely from the nearest boundary knot
+    so that coefficient expansions have exactly linear tails.
     """
 
     def __init__(self, knots):
         self.knots = knots
         self.degree = knots.degree
         self.num_basis = knots.num_basis
+        # with clamped padding the last nonempty span is [t_{K+d-2}, t_{K+d-1}];
+        # x at the last real knot belongs to it
+        self._last_span = self.num_basis - 1
+        # offsets of the knot window t_{s-d+1} .. t_{s+d} of a sample in span s
+        self._window = np.arange(1 - self.degree, self.degree + 1)
         # boundary values/slopes used for the affine tails
         self._val_first = self._interior(np.array([knots.first]))[0]
         self._val_last = self._interior(np.array([knots.last]))[0]
         ends = self._increments(np.array([knots.first, knots.last]))
         self._slope_first, self._slope_last = ends[:, :-1] - ends[:, 1:]
 
-    def _levels(self, x):
-        """Cox-de Boor recursion; returns per-degree basis tables for interior x."""
-        tp = self.knots.padded
+    def _local(self, x, level):
+        """Nonzero basis functions of degree ``level`` at interior x.
+
+        Returns the span s of each sample, its knot window t (row c holds
+        t_{s-d+1+c}) and the (level+1, n) values N_{s-level+m,level},
+        m = 0..level. At degree k the left term of N_{s-k+m,k} and the
+        right term of N_{s-k+m-1,k} share the denominator
+        t_{s+m} - t_{s-k+m}, which is at least t_{s+1} - t_s > 0.
+        """
         d = self.degree
-        x = np.asarray(x, dtype=float)
-        # degree-0 indicators on half-open intervals, closed at the last real knot
-        B = ((x[:, None] >= tp[:-1]) & (x[:, None] < tp[1:])).astype(float)
-        at_end = x >= self.knots.last
-        if np.any(at_end):
-            B[at_end] = 0.0
-            last_span = np.max(np.nonzero(np.diff(tp) > 0)[0])
-            B[at_end, last_span] = 1.0
-        levels = [B]
-        for k in range(1, d + 1):
-            prev = levels[-1]
-            n = prev.shape[1] - 1
-            left_den = tp[k : k + n] - tp[:n]
-            right_den = tp[k + 1 : k + 1 + n] - tp[1 : 1 + n]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left = np.where(
-                    left_den > 0, (x[:, None] - tp[:n]) / left_den, 0.0
-                )
-                right = np.where(
-                    right_den > 0, (tp[k + 1 : k + 1 + n] - x[:, None]) / right_den, 0.0
-                )
-            levels.append(left * prev[:, :n] + right * prev[:, 1 : n + 1])
-        return levels
+        s = np.minimum(np.searchsorted(self.knots.padded, x, "right") - 1,
+                       self._last_span)
+        t = self.knots.padded[self._window[:, None] + s]
+        # both differences are kept: x - t and t - x differ in the sign of a zero
+        xt = x - t
+        tx = t - x
+        N = np.ones((1, x.size))
+        for k in range(1, level + 1):
+            den = t[d : d + k] - t[d - k : d]
+            left = xt[d - k : d] / den * N
+            right = tx[d : d + k] / den * N
+            nxt = np.empty((k + 1, x.size))
+            nxt[0] = right[0]
+            np.add(left[:-1], right[1:], out=nxt[1:k])
+            nxt[k] = left[-1]
+            N = nxt
+        return s, t, N
+
+    @staticmethod
+    def _scatter(first, values, width):
+        """Dense (n, width) table with ``values[m, r]`` in row r, column first[r] + m."""
+        n = values.shape[1]
+        out = np.zeros(n * width)
+        flat = np.arange(0, n * width, width) + first
+        for m, row in enumerate(values):
+            out[flat + m] = row
+        return out.reshape(n, width)
 
     def _interior(self, x):
-        return self._levels(x)[-1]
+        s, _, N = self._local(x, self.degree)
+        return self._scatter(s - self.degree, N, self.num_basis)
 
     def _increments(self, x):
         """d / (t_{i+d} - t_i) * N_{i,d-1}(x) for i = 0..num_basis (0 on empty spans).
@@ -177,14 +205,11 @@ class SplineBasis:
         Adjacent differences of these columns are the basis derivatives.
         """
         d = self.degree
-        n = self.num_basis
         if d == 0:
-            return np.zeros((len(x), n + 1))
-        tp = self.knots.padded
-        den = tp[d : d + n + 1] - tp[: n + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(den > 0, d / den, 0.0)
-        return scale * self._levels(x)[d - 1]
+            return np.zeros((len(x), self.num_basis + 1))
+        s, t, N = self._local(x, d - 1)
+        scale = d / (t[d:] - t[:d])
+        return self._scatter(s - d + 1, scale * N, self.num_basis + 1)
 
     def eval(self, x):
         """Basis values at ``x`` (scalar or 1-d array) -> (..., num_basis)."""
@@ -192,12 +217,9 @@ class SplineBasis:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(np.isnan(x)):
             raise ValueError("NaN input to basis evaluation")
-        out = np.empty((x.size, self.num_basis))
+        out = self._interior(np.clip(x, self.knots.first, self.knots.last))
         lo = x < self.knots.first
         hi = x > self.knots.last
-        mid = ~(lo | hi)
-        if np.any(mid):
-            out[mid] = self._interior(x[mid])
         if np.any(lo):
             out[lo] = self._val_first + (x[lo, None] - self.knots.first) * self._slope_first
         if np.any(hi):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import adapt_lambdas, outer_objective
+from .objective import BarrierViolationError, ModelTooComplexError, adapt_lambdas, \
+    outer_objective
 from .tmap import Ensemble, MapFitConfig, TriangularMap, _component_design, \
     _component_from_fit, fit
 
@@ -77,9 +78,11 @@ class ProfileResult:
 def profile_lambda(config=None):
     """Sweep the nonmonotone smoothing parameter of S2 over the grid.
 
-    Per-grid-point fit failures are recorded as NaN rows; the sweep never
-    aborts. Also runs the gradient-based smoothing adaptation (same fixed
-    monotone penalty) for comparison with the grid argmin.
+    Grid points whose fit fails numerically (``ModelTooComplexError``,
+    ``BarrierViolationError`` or ``LinAlgError``) are recorded as NaN
+    rows; any other exception propagates. Also runs the gradient-based
+    smoothing adaptation (same fixed monotone penalty) for comparison
+    with the grid argmin.
     """
     config = config or WavyConfig()
     ensemble = config.generator(config.n, config.seed)
@@ -105,7 +108,7 @@ def profile_lambda(config=None):
         try:
             logls = np.array([logl, config.fixed_monotone_log_lambda])
             aicc, report, r_hat = outer_objective(cache, logls)
-        except Exception:
+        except (ModelTooComplexError, BarrierViolationError, np.linalg.LinAlgError):
             continue
         table[i, 1:] = [report.nll, report.edf, aicc]
         fits[float(logl)] = (logls, r_hat)

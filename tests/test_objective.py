@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from pstransport import objective
 from pstransport.objective import (
     BarrierViolationError,
     DesignCache,
@@ -198,6 +199,58 @@ def test_edf_blocks_match_explicit_formula():
     expected.append(np.trace(np.linalg.solve(Hp, Hu)))
     assert blocks == pytest.approx(expected, rel=1e-9)
     assert total == pytest.approx(sum(expected), rel=1e-9)
+
+
+def test_hessian_state_kept_per_point(monkeypatch):
+    """outer_gradient reuses the Hessian that edf factored at the same
+    (lambda, r_hat), bit for bit, and recomputes at another r_hat."""
+    logl = np.array([0.5, -1.0, 1.5])
+    cache = two_parent_cache()
+    _, _, r_hat = outer_objective(cache, logl)
+    other = feasible_raw(cache, seed=4)
+    want = outer_gradient(two_parent_cache(), logl, r_hat=r_hat)
+    want_other = outer_gradient(two_parent_cache(), logl, r_hat=other)
+    calls = []
+    assemble = objective._joint_hessian
+    monkeypatch.setattr(objective, "_joint_hessian",
+                        lambda *args: calls.append(1) or assemble(*args))
+    assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
+    assert not calls
+    for arr in objective._factored_hessian(cache, r_hat, logl)[:2]:
+        assert not arr.flags.writeable
+    assert np.array_equal(outer_gradient(cache, logl, r_hat=other), want_other)
+    assert len(calls) == 1
+    assert not np.array_equal(want_other, want)
+
+
+def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
+    counts = {"hessian": 0, "objective": 0, "gradient": 0, "in_gradient": 0}
+    assemble = objective._joint_hessian
+    score = objective.outer_objective
+    gradient = objective.outer_gradient
+
+    def counted_assemble(*args):
+        counts["hessian"] += 1
+        return assemble(*args)
+
+    def counted_score(*args, **kwargs):
+        counts["objective"] += 1
+        return score(*args, **kwargs)
+
+    def counted_gradient(*args, **kwargs):
+        counts["gradient"] += 1
+        before = counts["hessian"]
+        out = gradient(*args, **kwargs)
+        counts["in_gradient"] += counts["hessian"] - before
+        return out
+
+    monkeypatch.setattr(objective, "_joint_hessian", counted_assemble)
+    monkeypatch.setattr(objective, "outer_objective", counted_score)
+    monkeypatch.setattr(objective, "outer_gradient", counted_gradient)
+    adapt_lambdas(gaussian_cache(seed=5), max_outer=10)
+    assert counts["gradient"] >= 2
+    assert counts["hessian"] == counts["objective"]
+    assert counts["in_gradient"] == 0
 
 
 def test_edf_decreases_with_lambda(cache):

@@ -13,6 +13,53 @@ from pstransport.splines import (
 )
 
 
+class DenseBasis(SplineBasis):
+    """Reference: the full-width Cox-de Boor recursion over every basis
+    function at every degree, with the affine tails of SplineBasis."""
+
+    def _levels(self, x):
+        """Cox-de Boor recursion; returns per-degree basis tables for interior x."""
+        tp = self.knots.padded
+        d = self.degree
+        x = np.asarray(x, dtype=float)
+        # degree-0 indicators on half-open intervals, closed at the last real knot
+        B = ((x[:, None] >= tp[:-1]) & (x[:, None] < tp[1:])).astype(float)
+        at_end = x >= self.knots.last
+        if np.any(at_end):
+            B[at_end] = 0.0
+            last_span = np.max(np.nonzero(np.diff(tp) > 0)[0])
+            B[at_end, last_span] = 1.0
+        levels = [B]
+        for k in range(1, d + 1):
+            prev = levels[-1]
+            n = prev.shape[1] - 1
+            left_den = tp[k : k + n] - tp[:n]
+            right_den = tp[k + 1 : k + 1 + n] - tp[1 : 1 + n]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                left = np.where(
+                    left_den > 0, (x[:, None] - tp[:n]) / left_den, 0.0
+                )
+                right = np.where(
+                    right_den > 0, (tp[k + 1 : k + 1 + n] - x[:, None]) / right_den, 0.0
+                )
+            levels.append(left * prev[:, :n] + right * prev[:, 1 : n + 1])
+        return levels
+
+    def _interior(self, x):
+        return self._levels(x)[-1]
+
+    def _increments(self, x):
+        d = self.degree
+        n = self.num_basis
+        if d == 0:
+            return np.zeros((len(x), n + 1))
+        tp = self.knots.padded
+        den = tp[d : d + n + 1] - tp[: n + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(den > 0, d / den, 0.0)
+        return scale * self._levels(x)[d - 1]
+
+
 @pytest.fixture
 def basis():
     return SplineBasis(KnotVector(np.linspace(-2.0, 2.0, 7), degree=3))
@@ -135,6 +182,34 @@ def test_derivative_increment_form_is_exact():
         assert np.all(table[tail] == basis.eval_deriv_increments(edge))
     assert np.array_equal(basis.eval_deriv_increments(0.3),
                           basis.eval_deriv_increments(np.array([0.3]))[0])
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+def test_local_evaluation_matches_full_recursion(degree, spacing):
+    """The local de Boor tables equal the full-width recursion exactly, at
+    every real knot, at both ends, inside and in both tails."""
+    rng = np.random.default_rng(10 * degree + (spacing == "random"))
+    for num_real in (2, 3, degree + 2, 9):
+        if spacing == "uniform":
+            real = np.linspace(-1.5, 2.0, num_real)
+        else:
+            real = np.sort(rng.uniform(-3.0, 3.0, num_real))
+        kv = KnotVector(real, degree)
+        local, dense = SplineBasis(kv), DenseBasis(kv)
+        width = real[-1] - real[0]
+        x = np.concatenate([
+            real, np.nextafter(real, -np.inf), np.nextafter(real, np.inf),
+            rng.uniform(real[0], real[-1], 40),
+            rng.uniform(real[0] - width, real[0], 5),
+            rng.uniform(real[-1], real[-1] + width, 5),
+        ])
+        for name in ("eval", "eval_deriv", "eval_deriv_increments"):
+            got, want = getattr(local, name)(x), getattr(dense, name)(x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (name, num_real)
+            for xi in x[::3]:
+                assert np.array_equal(getattr(local, name)(xi), getattr(dense, name)(xi))
 
 
 def test_penalty_null_space():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pstransport import wavy
+from pstransport.objective import ModelTooComplexError
 from pstransport.wavy import WavyConfig, profile_lambda, sample_wavy
 
 
@@ -84,3 +86,26 @@ def test_swappable_generator():
                                     grid=np.linspace(-2, 6, 5),
                                     generator=rings))
     assert np.isfinite(res.table[:, 3]).any()
+
+
+def test_profile_keeps_only_numerical_failures(monkeypatch):
+    """A grid point that is too complex is a NaN row; any other error propagates."""
+    config = WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10)
+    original = wavy.outer_objective
+
+    def too_complex_at_minus_five(cache, logls, r0=None):
+        if logls[0] == -5.0:
+            raise ModelTooComplexError("edf too large")
+        return original(cache, logls, r0)
+
+    monkeypatch.setattr(wavy, "outer_objective", too_complex_at_minus_five)
+    table = profile_lambda(config).table
+    assert np.all(np.isnan(table[2, 1:])) and table[2, 0] == -5.0
+    assert np.all(np.isfinite(table[4:, 1:]))
+
+    def broken(cache, logls, r0=None):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(wavy, "outer_objective", broken)
+    with pytest.raises(TypeError):
+        profile_lambda(config)
