@@ -134,8 +134,13 @@ def cmd_fit(config_path, out_dir, seed_offset, threads):
     return 0
 
 
-_WAVY_KEYS = ("n", "num_real_knots", "fixed_monotone_log_lambda", "grid",
-              "seed", "num_pullback")
+def _config_from(cls, doc, converters):
+    """``cls`` built from the keys of ``converters`` present in ``doc``;
+    absent keys keep the defaults of ``cls``."""
+    try:
+        return cls(**{k: conv(doc[k]) for k, conv in converters.items() if k in doc})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_grid(spec):
@@ -145,24 +150,20 @@ def _parse_grid(spec):
         extra = set(spec) - {"start", "stop", "num"}
         if extra:
             raise ConfigError(f"unknown grid keys: {sorted(extra)}")
-        return np.linspace(spec.get("start", -10.0), spec.get("stop", 10.0),
-                           int(spec.get("num", 41)))
+        default = WavyConfig().grid
+        return np.linspace(spec.get("start", default[0]), spec.get("stop", default[-1]),
+                           int(spec.get("num", default.size)))
     raise ConfigError("grid must be a list of values or {start, stop, num}")
+
+
+_WAVY_KEYS = {"n": int, "num_real_knots": int, "fixed_monotone_log_lambda": float,
+              "grid": _parse_grid, "seed": int, "num_pullback": int}
 
 
 def cmd_wavy(config_path, out_dir, seed_offset, threads):
     doc = _load_config(config_path, _WAVY_KEYS)
-    try:
-        wcfg = WavyConfig(
-            n=int(doc.get("n", 30)),
-            num_real_knots=int(doc.get("num_real_knots", 50)),
-            fixed_monotone_log_lambda=doc.get("fixed_monotone_log_lambda", 10.0),
-            grid=_parse_grid(doc.get("grid", {"start": -10, "stop": 10, "num": 41})),
-            seed=int(doc.get("seed", 0)) + seed_offset,
-            num_pullback=int(doc.get("num_pullback", 1000)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    wcfg = _config_from(WavyConfig, doc, _WAVY_KEYS)
+    wcfg.seed += seed_offset
     chash = _config_hash(doc)
     header = [f"config_hash={chash} seed={wcfg.seed}"]
     res = profile_lambda(wcfg)
@@ -184,13 +185,13 @@ def cmd_wavy(config_path, out_dir, seed_offset, threads):
     return 0
 
 
-_L63_KEYS = ("methods", "n_grid", "seeds", "steps", "spinup", "dt",
-             "obs_interval", "obs_sigma", "max_outer")
+_L63_PARAMS = {"steps": int, "spinup": int, "dt": float, "obs_interval": float,
+               "obs_sigma": float}
+_L63_KEYS = ("methods", "n_grid", "seeds", "max_outer", *_L63_PARAMS)
 
 
 def _one_l63_run(args):
-    params, n, seed, method, max_outer = args
-    fit_cfg = MapFitConfig(max_outer=max_outer)
+    params, n, seed, method, fit_cfg = args
     return run_filter(params, n, seed, method=method, fit_config=fit_cfg)
 
 
@@ -201,20 +202,12 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
         raise ConfigError("methods must be transport and/or linear-baseline")
     n_grid = doc.get("n_grid", [50, 250, 1000])
     seeds = [int(s) + seed_offset for s in doc.get("seeds", list(range(10)))]
-    try:
-        params = Lorenz63Params(
-            dt=doc.get("dt", 0.05),
-            obs_interval=doc.get("obs_interval", 0.1),
-            obs_sigma=doc.get("obs_sigma", 0.25),
-            steps=int(doc.get("steps", 1000)),
-            spinup=int(doc.get("spinup", 250)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    max_outer = int(doc.get("max_outer", 10))
+    params = _config_from(Lorenz63Params, doc, _L63_PARAMS)
+    # without max_outer, run_filter picks its own fit settings
+    fit_cfg = MapFitConfig(max_outer=int(doc["max_outer"])) if "max_outer" in doc else None
     chash = _config_hash(doc)
 
-    jobs = [(params, int(n), seed, method, max_outer)
+    jobs = [(params, int(n), seed, method, fit_cfg)
             for method in methods for n in n_grid for seed in seeds]
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:

@@ -141,6 +141,7 @@ class MapComponent:
             lo = np.full(tm.size, kn.first)
             hi = np.full(tm.size, kn.last)
             xm = kn.first + (tm - f_lo) / (f_hi - f_lo) * (kn.last - kn.first)
+            last_step = step_before = hi - lo
             for _ in range(max_iter):
                 fm = f(xm) - tm
                 # accept when the residual is small on the target scale or the
@@ -154,8 +155,12 @@ class MapComponent:
                 dm = self.ddx(xm)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     xn = xm - fm / dm
-                bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+                # bisect when Newton leaves the bracket or exceeds half the step
+                # before last (rtsafe), lest it bounce between the bracket ends
+                bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi) | \
+                    (np.abs(xn - xm) > 0.5 * step_before)
                 xn = np.where(bad, 0.5 * (lo + hi), xn)
+                step_before, last_step = last_step, np.abs(xn - xm)
                 xm = np.where(done, xm, xn)
             x[mid] = xm
         # residual check on the scale the bisection can actually resolve: for a

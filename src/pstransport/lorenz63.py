@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .objective import BarrierViolationError
+from .splines import DegenerateDimensionError
 from .tmap import Ensemble, MapFitConfig, fit
 
 logger = logging.getLogger(__name__)
@@ -186,7 +188,8 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
                     members = linear_baseline_update(
                         members, y_all[v], params.obs_sigma, v, rng
                     )
-        except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        except (RuntimeError, FloatingPointError, np.linalg.LinAlgError,
+                BarrierViolationError, DegenerateDimensionError) as exc:
             logger.warning("seed %s step %d: %s; flagging divergence", seed, step, exc)
             diverged = True
             break

@@ -10,9 +10,10 @@ derivative positive at every sample.
 
 ``DesignCache`` holds the design and its lambda-independent Gram
 matrices. ``profile_operators`` factors the nonmonotone system once per
-log-lambda and keeps that state, so the inner solver, the closed-form
-nonmonotone solve and the Hessians at one lambda share one Cholesky
-factor. One assembler builds the joint Hessian over (beta_non, free raw
+log-lambda and keeps the p x p Hessian of the reduced quadratic (a
+Schur complement of the Grams) with the operator giving the optimal
+nonmonotone coefficients; the inner solver's only n-row work is the log
+barrier. One assembler builds the joint Hessian over (beta_non, free raw
 coordinates); its diagonal blocks give the per-block effective degrees
 of freedom.
 
@@ -132,13 +133,13 @@ class DesignCache:
     # -- reduced (profiled) objective --------------------------------------
 
     def profile_operators(self, log_lambdas):
-        """Operators (A, Q, D, lambdas) of the reduced problem after eliminating beta_non.
+        """Operators (H, D, lambdas) of the reduced problem after eliminating beta_non.
 
-        A is the profiled design, Q the penalty of the reduced quadratic in
-        beta_mon space, ``beta_non = -D @ beta_mon`` the optimal nonmonotone
-        coefficients, and ``lambdas = exp(log_lambdas)``. The operators of
-        the last log-lambdas asked for are kept (exact match) and are
-        read-only.
+        ``beta_non = -D @ beta_mon`` with ``D = (G_nn + S_non)^-1 G_nm`` are
+        the optimal nonmonotone coefficients, ``H = G_mm - G_nm' D + S_mon``
+        is the Hessian of the penalized quadratic left in beta_mon space,
+        and ``lambdas = exp(log_lambdas)``. The operators of the last
+        log-lambdas asked for are kept (exact match) and are read-only.
         """
         key = np.array(log_lambdas, dtype=float)
         if np.array_equal(key, self._ops_key):
@@ -146,21 +147,15 @@ class DesignCache:
         lambdas = np.exp(key)
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
-        S_mon = self.s_mon(lambdas)
-        if self.m == 0:
-            A, Q, D = self.P_mon.view(), S_mon, np.zeros((0, self.p))
-        else:
-            S_non = self.s_non(lambdas)
-            try:
-                chol = cho_factor(self.G_nn + S_non)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "singular nonmonotone system; increase lambda or ridge"
-                ) from exc
-            D = cho_solve(chol, self.G_nm)
-            A = self.P_mon - self.P_non @ D
-            Q = D.T @ S_non @ D + S_mon
-        ops = (A, Q, D, lambdas)
+        try:
+            chol = cho_factor(self.G_nn + self.s_non(lambdas))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "singular nonmonotone system; increase lambda or ridge"
+            ) from exc
+        D = cho_solve(chol, self.G_nm)
+        H = self.G_mm - self.G_nm.T @ D + self.s_mon(lambdas)
+        ops = (H, D, lambdas)
         for arr in ops:
             arr.flags.writeable = False
         self._ops_key, self._ops = key, ops
@@ -207,18 +202,16 @@ def nll(cache, beta_non, beta_mon_raw):
 
 def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
     """Optimal nonmonotone coefficients for fixed monotone coefficients."""
-    D = cache.profile_operators(log_lambdas)[2]
+    D = cache.profile_operators(log_lambdas)[1]
     return -D @ np.cumsum(beta_mon_raw)
 
 
 def _reduced_value(cache, ops, beta_mon):
-    """Profiled objective value, with the products its derivatives reuse."""
-    A, Q = ops[:2]
+    """Profiled value ``0.5 beta'H beta - sum log s``, with ``H beta`` and ``s`` for reuse."""
     s = _slopes(cache, beta_mon)
-    Ab = A @ beta_mon
-    Qb = Q @ beta_mon
-    value = 0.5 * float(Ab @ Ab) - float(np.sum(np.log(s))) + 0.5 * float(beta_mon @ Qb)
-    return value, Ab, Qb, s
+    Hb = ops[0] @ beta_mon
+    value = 0.5 * float(beta_mon @ Hb) - float(np.sum(np.log(s)))
+    return value, Hb, s
 
 
 def _trial_value(cache, ops, r):
@@ -233,13 +226,11 @@ def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas, ops=None):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     if ops is None:
         ops = cache.profile_operators(log_lambdas)
-    A, Q = ops[:2]
     beta_mon = np.cumsum(np.asarray(beta_mon_raw, dtype=float))
-    value, Ab, Qb, s = _reduced_value(cache, ops, beta_mon)
-    grad_mon = A.T @ Ab + Qb - cache.b.T @ (1.0 / s)
+    value, Hb, s = _reduced_value(cache, ops, beta_mon)
+    grad_mon = Hb - cache.b.T @ (1.0 / s)
     grad = np.cumsum(grad_mon[::-1])[::-1]  # T^T v is a reverse cumulative sum
-    H_mon = A.T @ A + Q + cache.b.T @ (cache.b / s[:, None] ** 2)
-    hess = cache.T.T @ H_mon @ cache.T
+    hess = cache.T.T @ (ops[0] + cache.b.T @ (cache.b / s[:, None] ** 2)) @ cache.T
     return value, grad, hess
 
 
@@ -435,7 +426,7 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     """
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
-    _, _, D, lambdas = cache.profile_operators(log_lambdas)
+    _, D, lambdas = cache.profile_operators(log_lambdas)
     Hu, Pen, blocks, free, bTf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
     edf_value = float(sum(np.trace(W) for _, W in factors))
     penprime = _aicc_penalty_deriv(edf_value, cache.n)

@@ -9,6 +9,7 @@ split.
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,15 @@ class MapFitConfig:
     init_log_lambdas: list = field(default_factory=list, repr=False)  # warm starts
 
 
+@contextmanager
+def _component_context(label):
+    """Re-raise any error with its own type, its message prefixed by ``label``."""
+    try:
+        yield
+    except Exception as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
 def _validate_parent_sets(parent_sets, dim):
     if len(parent_sets) != dim:
         raise ValueError("one parent set per variable required")
@@ -117,10 +127,8 @@ class TriangularMap:
     def _invert_from(self, rows_std, z_cols, first):
         """Fill columns ``first:`` of standardized rows so S_j(row) = z_cols[j - first]."""
         for j in range(first, self.dim):
-            try:
+            with _component_context(f"inversion failed in component {j}"):
                 rows_std[:, j] = self._component(j).invert_many(rows_std, z_cols[j - first])
-            except RuntimeError as exc:
-                raise type(exc)(f"inversion failed in component {j}: {exc}") from exc
         return rows_std
 
     # -- evaluation ---------------------------------------------------------
@@ -287,12 +295,8 @@ def fit(ensemble, parent_sets, config=None):
     components = [None] * ensemble.dim
     reports = [None] * ensemble.dim
     for j in range(first, ensemble.dim):
-        try:
+        with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
             components[j], reports[j] = _fit_component(Z, j, parent_sets[j], config)
-        except Exception as exc:
-            raise RuntimeError(
-                f"fit of component {j} ({ensemble.names[j]}) failed: {exc}"
-            ) from exc
     return TriangularMap(components, center, scale, ensemble.names,
                          config.block_split), reports
 

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from pstransport import cli
 from pstransport.cli import main
-from pstransport.tmap import TriangularMap
+from pstransport.lorenz63 import Lorenz63Params
+from pstransport.tmap import MapFitConfig, TriangularMap
+from pstransport.wavy import WavyConfig
 
 
 def write_json(path, doc):
@@ -156,3 +159,58 @@ def test_seed_offset_shifts_seeds(tmp_path):
     assert run(["lorenz63", "--config", cfg, "--out", out,
                 "--seed-offset", 7, "--threads", 1]) == 0
     assert (out / "run_linear-baseline_n50_seed7.tsv").exists()
+
+
+class Captured(Exception):
+    pass
+
+
+def capture(monkeypatch, name):
+    """Replace cli.<name> by a stub that records its arguments and stops the run."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Captured
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def test_empty_wavy_config_takes_dataclass_defaults(tmp_path, monkeypatch):
+    calls = capture(monkeypatch, "profile_lambda")
+    cfg = write_json(tmp_path / "w.json", {})
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    (got,), _ = calls[0]
+    want = WavyConfig()
+    for name in ("n", "num_real_knots", "fixed_monotone_log_lambda", "seed",
+                 "num_pullback", "generator"):
+        assert getattr(got, name) == getattr(want, name)
+    assert np.array_equal(got.grid, want.grid)
+
+
+def test_partial_wavy_grid_takes_default_ends(tmp_path, monkeypatch):
+    calls = capture(monkeypatch, "profile_lambda")
+    cfg = write_json(tmp_path / "w.json", {"grid": {"num": 5}, "seed": 2})
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--threads", 1,
+                "--seed-offset", 3]) == 3
+    (got,), _ = calls[0]
+    default = WavyConfig().grid
+    assert np.array_equal(got.grid, np.linspace(default[0], default[-1], 5))
+    assert got.seed == 5
+
+
+def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
+    calls = capture(monkeypatch, "run_filter")
+    cfg = write_json(tmp_path / "l.json", {})
+    assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    (params, n, seed), kwargs = calls[0]
+    assert params == Lorenz63Params()
+    assert (n, seed) == (50, 0)
+    assert kwargs == {"method": "transport", "fit_config": None}
+
+    cfg = write_json(tmp_path / "l2.json", {"max_outer": 3, "steps": 7})
+    assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    (params, _, _), kwargs = calls[1]
+    assert params == Lorenz63Params(steps=7)
+    assert kwargs["fit_config"] == MapFitConfig(max_outer=3)

@@ -129,6 +129,18 @@ def test_invert_many_steep_function():
     assert np.max(np.abs(xs - rows[:, 1])) < 1e-6
 
 
+def test_invert_many_next_to_zero_increment():
+    # the zero increment leaves a nearly flat stretch left of a steep one;
+    # a Newton step kept only inside the bracket bounces between its ends
+    # here for every target in about [-2.0722, -2.0712] and gives up
+    raw = np.array([-5, 0.1, 0.3, 0.4, 0.2, 0.5, 0.7, 0, 2.7, 1.2, 1.1, 1.4, 1.7, 0.3])
+    comp = MapComponent([], 0, [], SplineBasis(KnotVector(np.linspace(-3, 1, 12), 3)),
+                        np.zeros(0), raw)
+    z = np.linspace(-2.0722, -2.0712, 11)
+    xs = comp.invert_many(np.zeros((z.size, 1)), z)
+    assert np.max(np.abs(comp.eval_many(xs[:, None]) - z)) < 1e-9
+
+
 # -- property tests on the batch path ----------------------------------------
 
 SCALES = [1.0, 1e-6, 300.0]

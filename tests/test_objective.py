@@ -163,17 +163,36 @@ def test_profile_operators_kept_per_lambda():
     cache.profile_operators(logl2)
     again = cache.profile_operators(logl1)
     fresh = two_parent_cache().profile_operators(logl1)
-    assert len(again) == 4
+    assert len(again) == 3
     for got, want in zip(again, fresh):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = 0.0
-    assert np.array_equal(first[2], again[2])
-    A, Q, D, lambdas = again
+    assert np.array_equal(first[1], again[1])
+    H, D, lambdas = again
     assert np.array_equal(lambdas, np.exp(logl1))
     r = feasible_raw(cache)
     assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ np.cumsum(r))
+
+
+def no_parent_cache(n=80, seed=3):
+    x = np.random.default_rng(seed).standard_normal(n)
+    return DesignCache([], [], SplineBasis(make_knots(x, 3, 7)), x, 2)
+
+
+@pytest.mark.parametrize("make_cache", [two_parent_cache, no_parent_cache])
+def test_profile_operators_matches_profiled_design(make_cache):
+    """H is A'A + Q of the explicitly profiled design A = P_mon - P_non D and
+    its penalty Q = D' S_non D + S_mon, with or without parents."""
+    cache = make_cache()
+    logl = np.r_[np.linspace(-1.0, 1.0, cache.num_blocks - 1), 1.5]
+    H, D, lambdas = cache.profile_operators(logl)
+    assert D.shape == (cache.m, cache.p)
+    A = cache.P_mon - cache.P_non @ D
+    Q = D.T @ cache.s_non(lambdas) @ D + cache.s_mon(lambdas)
+    want = A.T @ A + Q
+    assert np.max(np.abs(H - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_edf_blocks_match_explicit_formula():

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+from pstransport import tmap
 from pstransport.component import MapComponent, NotInvertibleError
-from pstransport.splines import KnotVector, SplineBasis
+from pstransport.objective import BarrierViolationError, ModelTooComplexError
+from pstransport.splines import DegenerateDimensionError, KnotVector, SplineBasis
 from pstransport.tmap import (
     Ensemble,
     MapFitConfig,
@@ -154,8 +156,30 @@ def test_constant_parent_is_dropped():
 def test_fit_failure_names_component():
     rng = np.random.default_rng(5)
     data = np.column_stack([rng.standard_normal(50), np.full(50, 1.0)])
-    with pytest.raises(RuntimeError, match="component 1"):
+    with pytest.raises(DegenerateDimensionError, match="component 1"):
         fit(Ensemble(data, ["a", "b"]), [[], [0]])
+
+
+@pytest.mark.parametrize("error", [ModelTooComplexError, BarrierViolationError, TypeError])
+def test_fit_failure_keeps_its_type(monkeypatch, error):
+    def failing(cache, *args, **kwargs):
+        if cache.m:   # component 1, the one with a parent
+            raise error("inner failure")
+        return adapt(cache, *args, **kwargs)
+
+    adapt = tmap.adapt_lambdas
+    monkeypatch.setattr(tmap, "adapt_lambdas", failing)
+    with pytest.raises(error, match=r"component 1 \(b\) failed: inner failure") as info:
+        fit(Ensemble(gaussian_ensemble(60).data, ["a", "b"]), [[], [0]])
+    assert type(info.value) is error
+    assert isinstance(info.value.__cause__, error)
+
+
+def test_too_complex_fit_keeps_its_type():
+    ens = gaussian_ensemble(20)
+    with pytest.raises(ModelTooComplexError, match=r"component 1 \(x1\) failed: edf="):
+        fit(ens, [[], [0]], MapFitConfig(adapt=False, init_log_lambda=-12.0,
+                                         num_real_knots=12))
 
 
 def test_standardization_fields(fitted):
