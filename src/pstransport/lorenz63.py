@@ -169,7 +169,7 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
     edf_frac = np.full((params.steps, 3), np.nan)
     diverged = False
     warm = {0: None, 1: None, 2: None}
-    step = 0
+    completed = 0
     for step in range(params.steps):
         for _ in range(params.substeps):
             truth = rk4_step(truth, params)
@@ -193,6 +193,7 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
             logger.warning("seed %s step %d: %s; flagging divergence", seed, step, exc)
             diverged = True
             break
+        completed += 1
         if fractions:
             edf_frac[step] = np.mean(np.asarray(fractions), axis=0)
         r = ensemble_rmse(members, truth)
@@ -205,5 +206,5 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
     return FilterRunResult(
         rmse_series=rmse, mean_rmse=mean_rmse, edf_fractions=edf_frac,
         diverged=diverged, seed=seed, method=method, n_ensemble=n_ensemble,
-        steps_completed=step + 1,
+        steps_completed=completed,
     )

@@ -4,18 +4,18 @@ The empirical objective is the sample sum of
 ``0.5 * S(x)^2 - log dS/dx_own``. With the additive spline parametrization
 the nonmonotone coefficients minimize a penalized quadratic in closed
 form (a symmetric positive-definite solve), leaving a small convex
-problem in the raw monotone parameters: level plus nonnegative
+problem in the raw monotone parameters r: level plus nonnegative
 increments, with the log term acting as a barrier that keeps the
-derivative positive at every sample.
+derivative ``W r`` positive at every sample.
 
 ``DesignCache`` holds the design and its lambda-independent Gram
-matrices. ``profile_operators`` factors the nonmonotone system once per
-log-lambda and keeps the p x p Hessian of the reduced quadratic (a
-Schur complement of the Grams) with the operator giving the optimal
-nonmonotone coefficients; the inner solver's only n-row work is the log
-barrier. One assembler builds the joint Hessian over (beta_non, free raw
-coordinates); its diagonal blocks give the per-block effective degrees
-of freedom.
+matrices, the monotone block in raw coordinates. ``profile_operators``
+factors the nonmonotone system once per log-lambda and keeps the p x p
+Hessian of the reduced quadratic (a Schur complement of the Grams) with
+the operator giving the optimal nonmonotone coefficients. The inner
+solver judges steps on exact objective differences. One assembler
+builds the joint Hessian over (beta_non, free raw coordinates); its
+diagonal blocks give the per-block effective degrees of freedom.
 
 Smoothing parameters are adapted by descending an AICc outer objective
 whose gradient is computed with the implicit function theorem; every
@@ -97,14 +97,18 @@ class DesignCache:
             start += basis.num_basis
         self.P_non = np.hstack(cols) if cols else np.zeros((n, 0))
         self.P_mon = mon_basis.eval(own_samples)
-        self.b = mon_basis.eval_deriv(own_samples)
-        self.T = np.tril(np.ones((self.p, self.p)))
-        # lambda-independent Grams of the design
+        # raw coordinates r (beta_mon = T r): slopes W r are sums of nonnegative
+        # terms, and the monotone Grams and penalty below act on r
+        self.W = np.ascontiguousarray(mon_basis.eval_deriv_increments(own_samples))
+        T = np.tril(np.ones((self.p, self.p)))
+        P_raw = self.P_mon @ T
         self.G_nn = self.P_non.T @ self.P_non
-        self.G_nm = self.P_non.T @ self.P_mon
-        self.G_mm = self.P_mon.T @ self.P_mon
+        self.G_nm = self.P_non.T @ P_raw
+        self.G_mm = P_raw.T @ P_raw
         self.non_grams = [make_penalty(s, penalty_order).gram for s in self.block_sizes]
         self.mon_gram = make_penalty(self.p, penalty_order).gram
+        self.mon_gram_raw = T.T @ self.mon_gram @ T
+        self.ridge_raw = RIDGE * (T.T @ T)
         self.num_blocks = len(self.block_sizes) + 1
         self._ops_key, self._ops = None, None
         self._hess_key, self._hess = None, None
@@ -122,6 +126,10 @@ class DesignCache:
         """Monotone-coefficient penalty (plus ridge), acting on cumsum(beta_raw)."""
         return lambdas[-1] * self.mon_gram + RIDGE * np.eye(self.p)
 
+    def s_mon_raw(self, lambdas):
+        """``T' s_mon(lambdas) T``: the monotone penalty acting on beta_raw."""
+        return lambdas[-1] * self.mon_gram_raw + self.ridge_raw
+
     def default_raw(self):
         """Feasible start: the identity-like monotone fit (Greville coefficients)."""
         beta = self.mon_basis.greville()
@@ -135,11 +143,11 @@ class DesignCache:
     def profile_operators(self, log_lambdas):
         """Operators (H, D, lambdas) of the reduced problem after eliminating beta_non.
 
-        ``beta_non = -D @ beta_mon`` with ``D = (G_nn + S_non)^-1 G_nm`` are
-        the optimal nonmonotone coefficients, ``H = G_mm - G_nm' D + S_mon``
-        is the Hessian of the penalized quadratic left in beta_mon space,
-        and ``lambdas = exp(log_lambdas)``. The operators of the last
-        log-lambdas asked for are kept (exact match) and are read-only.
+        In raw monotone coordinates r, ``beta_non = -D @ r`` with ``D =
+        (G_nn + S_non)^-1 G_nm`` are the optimal nonmonotone coefficients,
+        ``H = G_mm - G_nm' D + T' S_mon T`` is the Hessian of the penalized
+        quadratic left in r, and ``lambdas = exp(log_lambdas)``. The operators
+        of the last log-lambdas asked for are kept (exact match), read-only.
         """
         key = np.array(log_lambdas, dtype=float)
         if np.array_equal(key, self._ops_key):
@@ -154,7 +162,7 @@ class DesignCache:
                 "singular nonmonotone system; increase lambda or ridge"
             ) from exc
         D = cho_solve(chol, self.G_nm)
-        H = self.G_mm - self.G_nm.T @ D + self.s_mon(lambdas)
+        H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
         ops = (H, D, lambdas)
         for arr in ops:
             arr.flags.writeable = False
@@ -183,9 +191,9 @@ class FitReport:
 # -- objective values -------------------------------------------------------
 
 
-def _slopes(cache, beta_mon):
+def _slopes(cache, beta_mon_raw):
     """Monotone derivative at every sample; raises outside the barrier domain."""
-    s = cache.b @ beta_mon
+    s = cache.W @ beta_mon_raw
     if np.any(s <= 0):
         raise BarrierViolationError("nonpositive monotone derivative at a sample")
     return s
@@ -193,112 +201,95 @@ def _slopes(cache, beta_mon):
 
 def nll(cache, beta_non, beta_mon_raw):
     """Sample-summed transport objective at the given coefficients."""
-    beta_mon = np.cumsum(beta_mon_raw)
-    resid = cache.P_mon @ beta_mon
+    resid = cache.P_mon @ np.cumsum(beta_mon_raw)
     if cache.m:
         resid = resid + cache.P_non @ beta_non
-    return 0.5 * float(resid @ resid) - float(np.sum(np.log(_slopes(cache, beta_mon))))
+    return 0.5 * float(resid @ resid) - float(np.sum(np.log(_slopes(cache, beta_mon_raw))))
 
 
 def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
     """Optimal nonmonotone coefficients for fixed monotone coefficients."""
-    D = cache.profile_operators(log_lambdas)[1]
-    return -D @ np.cumsum(beta_mon_raw)
+    return -cache.profile_operators(log_lambdas)[1] @ np.asarray(beta_mon_raw, dtype=float)
 
 
-def _reduced_value(cache, ops, beta_mon):
-    """Profiled value ``0.5 beta'H beta - sum log s``, with ``H beta`` and ``s`` for reuse."""
-    s = _slopes(cache, beta_mon)
-    Hb = ops[0] @ beta_mon
-    value = 0.5 * float(beta_mon @ Hb) - float(np.sum(np.log(s)))
-    return value, Hb, s
-
-
-def _trial_value(cache, ops, r):
-    """Profiled objective value at raw parameters; +inf outside the barrier domain."""
-    try:
-        return _reduced_value(cache, ops, np.cumsum(r))[0]
-    except BarrierViolationError:
-        return np.inf
+def _newton_state(cache, H, r):
+    """Slopes ``s``, ``H r``, gradient and Hessian of the reduced objective at r."""
+    s = _slopes(cache, r)
+    Hr = H @ r
+    Ws = cache.W / s[:, None]
+    return s, Hr, Hr - cache.W.T @ (1.0 / s), H + Ws.T @ Ws
 
 
 def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas, ops=None):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     if ops is None:
         ops = cache.profile_operators(log_lambdas)
-    beta_mon = np.cumsum(np.asarray(beta_mon_raw, dtype=float))
-    value, Hb, s = _reduced_value(cache, ops, beta_mon)
-    grad_mon = Hb - cache.b.T @ (1.0 / s)
-    grad = np.cumsum(grad_mon[::-1])[::-1]  # T^T v is a reverse cumulative sum
-    hess = cache.T.T @ (ops[0] + cache.b.T @ (cache.b / s[:, None] ** 2)) @ cache.T
-    return value, grad, hess
+    r = np.asarray(beta_mon_raw, dtype=float)
+    s, Hr, grad, hess = _newton_state(cache, ops[0], r)
+    return 0.5 * float(r @ Hr) - float(np.sum(np.log(s))), grad, hess
 
 
 # -- inner solver -----------------------------------------------------------
 
 
+def _stationarity(r, grad, Hr, tol):
+    """(converged, projected gradient norm, pinned mask); the test is scaled
+    by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``."""
+    pinned = np.zeros_like(r, dtype=bool)
+    pinned[1:] = (r[1:] <= PIN_TOL) & (grad[1:] > 0)
+    pg_norm = float(np.linalg.norm(np.where(pinned, 0.0, grad)))
+    scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
+    return pg_norm <= tol * scale, pg_norm, pinned
+
+
 def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
-    """Projected Newton on the reduced objective with increments >= 0.
+    """Projected Newton on the reduced objective in raw coordinates, increments >= 0.
+
+    Steps are accepted on the exact change ``(H r).d + d'H d / 2 -
+    sum log1p((W d) / s)``: where the monotone level and the parent
+    constants are confounded, the value itself cancels to rounding noise.
 
     Returns (raw_parameters, iterations, converged, projected_grad_norm).
     """
-    ops = cache.profile_operators(log_lambdas)
+    H = cache.profile_operators(log_lambdas)[0]
     r = cache.default_raw() if r0 is None else np.array(r0, dtype=float)
     r[1:] = np.maximum(r[1:], 0.0)
-    if not np.isfinite(_trial_value(cache, ops, r)):
+    if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
-    value, grad, hess = reduced_penalized_objective(cache, r, log_lambdas, ops)
-    converged = False
+    s, Hr, grad, hess = _newton_state(cache, H, r)
     it = 0
     for it in range(1, max_iter + 1):
-        pinned = np.zeros_like(r, dtype=bool)
-        pinned[1:] = (r[1:] <= PIN_TOL) & (grad[1:] > 0)
-        pg = np.where(pinned, 0.0, grad)
-        if np.linalg.norm(pg) <= tol * max(1.0, abs(value)):
-            converged = True
+        converged, _, pinned = _stationarity(r, grad, Hr, tol)
+        if converged:
             break
         free = ~pinned
         Hf = hess[np.ix_(free, free)]
-        gf = grad[free]
         step = np.zeros_like(r)
         boost = 0.0
         for _ in range(8):
             try:
-                step[free] = -cho_solve(cho_factor(Hf + boost * np.eye(Hf.shape[0])), gf)
+                step[free] = -cho_solve(cho_factor(Hf + boost * np.eye(Hf.shape[0])), grad[free])
                 break
             except np.linalg.LinAlgError:
                 boost = max(1e-8, 10.0 * boost) * max(1.0, np.abs(np.diag(Hf)).max())
         else:
-            step[free] = -gf
-        predicted = -float(grad @ step)
-        if predicted <= 1e-13 * max(1.0, abs(value)):
-            # at the numerical floor; take the plain Newton step if feasible
-            cand = r + step
-            cand[1:] = np.maximum(cand[1:], 0.0)
-            if np.isfinite(_trial_value(cache, ops, cand)):
-                r = cand
-                _, grad, _ = reduced_penalized_objective(cache, r, log_lambdas, ops)
-            converged = True
-            break
+            step[free] = -grad[free]
         alpha = 1.0
-        accepted = False
-        slack = 1e-12 * max(1.0, abs(value))
         for _ in range(40):
             cand = r + alpha * step
             cand[1:] = np.maximum(cand[1:], 0.0)
-            v_new = _trial_value(cache, ops, cand)
-            if v_new <= value + 1e-4 * float(grad @ (cand - r)) + slack:
-                accepted = True
+            delta = cand - r
+            ratio = (cache.W @ delta) / s   # slopes at cand are s * (1 + ratio)
+            if np.all(ratio > -1.0) and float(delta @ (Hr + 0.5 * (H @ delta))) \
+                    - float(np.sum(np.log1p(ratio))) <= 1e-4 * float(grad @ delta):
                 break
             alpha *= 0.5
-        if not accepted:
-            break
+        else:
+            break   # no acceptable step: leave unconverged
         r = cand
-        value, grad, hess = reduced_penalized_objective(cache, r, log_lambdas, ops)
-    pinned = np.zeros_like(r, dtype=bool)
-    pinned[1:] = (r[1:] <= PIN_TOL) & (grad[1:] > 0)
-    pg_norm = float(np.linalg.norm(np.where(pinned, 0.0, grad)))
-    return r, it, converged or pg_norm <= tol * max(1.0, abs(value)), pg_norm
+        s, Hr, grad, hess = _newton_state(cache, H, r)
+    converged, pg_norm, _ = _stationarity(r, grad, Hr, tol)
+    return r, it, converged, pg_norm
 
 
 # -- effective degrees of freedom and outer objective -----------------------
@@ -309,27 +300,28 @@ def _joint_hessian(cache, r_hat, lambdas):
 
     Increments pinned at zero are left out. Also returns the smoothing
     blocks as (slice, unit-lambda penalty) pairs, parents first and
-    monotone last, the free mask, ``b @ T`` on the free columns and the
+    monotone last, the free mask, the free columns of ``W`` and the
     monotone derivative at every sample.
     """
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
-    Tf = cache.T[:, free]
-    s = _slopes(cache, np.cumsum(r_hat))
-    bTf = cache.b @ Tf
+    ff = np.ix_(free, free)
+    s = _slopes(cache, r_hat)
+    Wf = cache.W[:, free]
+    Ws = Wf / s[:, None]
     m = cache.m
-    k = m + Tf.shape[1]
+    k = m + Wf.shape[1]
     Hu = np.empty((k, k))
     Pen = np.zeros((k, k))
     Hu[:m, :m] = cache.G_nn
-    Hu[:m, m:] = cache.G_nm @ Tf
+    Hu[:m, m:] = cache.G_nm[:, free]
     Hu[m:, :m] = Hu[:m, m:].T
-    Hu[m:, m:] = Tf.T @ cache.G_mm @ Tf + bTf.T @ (bTf / s[:, None] ** 2)
+    Hu[m:, m:] = cache.G_mm[ff] + Ws.T @ Ws
     Pen[:m, :m] = cache.s_non(lambdas)
-    Pen[m:, m:] = Tf.T @ cache.s_mon(lambdas) @ Tf
+    Pen[m:, m:] = cache.s_mon_raw(lambdas)[ff]
     blocks = list(zip(cache.non_slices, cache.non_grams))
-    blocks.append((slice(m, k), Tf.T @ cache.mon_gram @ Tf))
-    return Hu, Pen, blocks, free, bTf, s
+    blocks.append((slice(m, k), cache.mon_gram_raw[ff]))
+    return Hu, Pen, blocks, free, Wf, s
 
 
 def _block_factors(Hu, Pen, blocks):
@@ -354,7 +346,7 @@ def _block_factors(Hu, Pen, blocks):
 def _factored_hessian(cache, r_hat, log_lambdas):
     """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
 
-    Returns ``(Hu, Pen, blocks, free, bTf, s, factors)`` as built by
+    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)`` as built by
     ``_joint_hessian`` and ``_block_factors``. The state of the last
     (log_lambdas, r_hat) asked for is kept on the cache (exact match) and
     is read-only, so ``edf`` in ``outer_objective`` and the
@@ -365,12 +357,12 @@ def _factored_hessian(cache, r_hat, log_lambdas):
     key = np.concatenate([log_lambdas, r_hat])
     if np.array_equal(key, cache._hess_key):
         return cache._hess
-    Hu, Pen, blocks, free, bTf, s = _joint_hessian(cache, r_hat, np.exp(log_lambdas))
+    Hu, Pen, blocks, free, Wf, s = _joint_hessian(cache, r_hat, np.exp(log_lambdas))
     factors = _block_factors(Hu, Pen, blocks)
-    for arr in (Hu, Pen, free, bTf, s, blocks[-1][1],
+    for arr in (Hu, Pen, free, Wf, s, blocks[-1][1],
                 *(a for (chol, W) in factors for a in (chol[0], W))):
         arr.flags.writeable = False
-    state = (Hu, Pen, tuple(blocks), free, bTf, s, tuple(factors))
+    state = (Hu, Pen, tuple(blocks), free, Wf, s, tuple(factors))
     cache._hess_key, cache._hess = key, state
     return state
 
@@ -427,10 +419,9 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
     _, D, lambdas = cache.profile_operators(log_lambdas)
-    Hu, Pen, blocks, free, bTf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
-    edf_value = float(sum(np.trace(W) for _, W in factors))
-    penprime = _aicc_penalty_deriv(edf_value, cache.n)
-    beta = np.concatenate([-D @ np.cumsum(r_hat), r_hat[free]])
+    Hu, Pen, blocks, free, Wf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
+    penprime = _aicc_penalty_deriv(edf(cache, r_hat, log_lambdas), cache.n)
+    beta = np.concatenate([-D @ r_hat, r_hat[free]])
     # unpenalized gradient at the optimum: minus the penalty gradient
     gL = -Pen @ beta
 
@@ -443,9 +434,9 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]
     V_m = cho_solve(chol_m, np.eye(W_m.shape[0]))
-    q = np.einsum("ij,ij->i", bTf @ (V_m - W_m @ V_m), bTf)
+    q = np.einsum("ij,ij->i", Wf @ (V_m - W_m @ V_m), Wf)
     grad_edf = np.zeros(beta.size)
-    grad_edf[cache.m:] = -2.0 * bTf.T @ (q / s ** 3)
+    grad_edf[cache.m:] = -2.0 * Wf.T @ (q / s ** 3)
 
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(cho_solve(chol, gram) * W.T))

@@ -11,6 +11,7 @@ The target density here is artifact-defined (chosen for visible
 oscillatory structure), not an external ground truth.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .objective import BarrierViolationError, ModelTooComplexError, adapt_lambda
     outer_objective
 from .tmap import Ensemble, MapFitConfig, TriangularMap, _component_design, \
     _component_from_fit, fit
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["WavyConfig", "ProfileResult", "sample_wavy", "profile_lambda"]
 
@@ -80,7 +83,8 @@ def profile_lambda(config=None):
 
     Grid points whose fit fails numerically (``ModelTooComplexError``,
     ``BarrierViolationError`` or ``LinAlgError``) are recorded as NaN
-    rows; any other exception propagates. Also runs the gradient-based
+    rows, rows whose inner solve did not converge are logged as warnings,
+    and any other exception propagates. Also runs the gradient-based
     smoothing adaptation (same fixed monotone penalty) for comparison
     with the grid argmin.
     """
@@ -110,6 +114,9 @@ def profile_lambda(config=None):
             aicc, report, r_hat = outer_objective(cache, logls)
         except (ModelTooComplexError, BarrierViolationError, np.linalg.LinAlgError):
             continue
+        if not report.converged:
+            logger.warning("log lambda %g: inner solve unconverged, projected gradient %.3g",
+                           logl, report.grad_norm)
         table[i, 1:] = [report.nll, report.edf, aicc]
         fits[float(logl)] = (logls, r_hat)
 

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from pstransport import lorenz63, objective
 from pstransport.lorenz63 import (
     Lorenz63Params,
     ensemble_rmse,
@@ -141,3 +144,41 @@ def test_run_filter_deterministic():
     a = run_filter(Lorenz63Params(steps=5), 50, seed=3, method="transport")
     b = run_filter(Lorenz63Params(steps=5), 50, seed=3, method="transport")
     assert np.array_equal(a.rmse_series, b.rmse_series, equal_nan=True)
+
+
+def test_steps_completed_counts_finished_cycles(monkeypatch):
+    """A fit failure in cycle 2 leaves two finished cycles; no steps, none."""
+    calls = []
+    update = lorenz63.transport_update
+
+    def failing_in_cycle_two(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 6:   # three updates per cycle
+            raise np.linalg.LinAlgError("forced failure")
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(lorenz63, "transport_update", failing_in_cycle_two)
+    res = run_filter(Lorenz63Params(steps=4), 50, seed=0)
+    assert res.diverged
+    assert res.steps_completed == 2
+    assert np.isfinite(res.rmse_series).sum() == 2
+    assert run_filter(Lorenz63Params(steps=0), 50, seed=0).steps_completed == 0
+
+
+def test_inner_solves_converge_in_filter_runs(monkeypatch):
+    """Every inner solve converges before max_iter, also at the small
+    smoothing parameters where the monotone level and the parent constants
+    are nearly confounded (seed 1 at n=1000, seed 0 at n=50)."""
+    inner = objective.fit_inner
+    max_iter = inspect.signature(inner).parameters["max_iter"].default
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(objective, "fit_inner", recorded)
+    run_filter(Lorenz63Params(steps=6), 1000, seed=1)
+    run_filter(Lorenz63Params(steps=8), 50, seed=0)
+    assert len(results) > 1000
+    assert all(converged and iters < max_iter for _, iters, converged, _ in results)

@@ -148,11 +148,16 @@ def test_edf_limits(cache):
     assert hi[1] == pytest.approx(2.0, abs=0.1)
 
 
-def two_parent_cache(n=120, seed=3):
+def two_parent_design(n=120, seed=3):
     rng = np.random.default_rng(seed)
     x1, x2 = rng.standard_normal((2, n))
     x3 = np.sin(x1) + 0.5 * x2 + 0.4 * rng.standard_normal(n)
     bases = [SplineBasis(make_knots(x, 3, k)) for x, k in ((x1, 6), (x2, 8), (x3, 7))]
+    return bases, (x1, x2, x3)
+
+
+def two_parent_cache(n=120, seed=3):
+    bases, (x1, x2, x3) = two_parent_design(n, seed)
     return DesignCache(bases[:2], [x1, x2], bases[2], x3, 2)
 
 
@@ -173,7 +178,7 @@ def test_profile_operators_kept_per_lambda():
     H, D, lambdas = again
     assert np.array_equal(lambdas, np.exp(logl1))
     r = feasible_raw(cache)
-    assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ np.cumsum(r))
+    assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ r)
 
 
 def no_parent_cache(n=80, seed=3):
@@ -183,14 +188,16 @@ def no_parent_cache(n=80, seed=3):
 
 @pytest.mark.parametrize("make_cache", [two_parent_cache, no_parent_cache])
 def test_profile_operators_matches_profiled_design(make_cache):
-    """H is A'A + Q of the explicitly profiled design A = P_mon - P_non D and
-    its penalty Q = D' S_non D + S_mon, with or without parents."""
+    """H is A'A + Q of the explicitly profiled design A = P_mon T - P_non D and
+    its penalty Q = D' S_non D + T' S_mon T in raw coordinates (beta_mon =
+    T r, T lower-triangular ones), with or without parents."""
     cache = make_cache()
     logl = np.r_[np.linspace(-1.0, 1.0, cache.num_blocks - 1), 1.5]
     H, D, lambdas = cache.profile_operators(logl)
     assert D.shape == (cache.m, cache.p)
-    A = cache.P_mon - cache.P_non @ D
-    Q = D.T @ cache.s_non(lambdas) @ D + cache.s_mon(lambdas)
+    T = np.tril(np.ones((cache.p, cache.p)))
+    A = cache.P_mon @ T - cache.P_non @ D
+    Q = D.T @ cache.s_non(lambdas) @ D + T.T @ cache.s_mon(lambdas) @ T
     want = A.T @ A + Q
     assert np.max(np.abs(H - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -199,6 +206,7 @@ def test_edf_blocks_match_explicit_formula():
     """Per-block traces tr[(P_k'P_k + lambda_k G_k + ridge I)^-1 P_k'P_k], the
     monotone block over the free raw coordinates with the barrier curvature."""
     cache = two_parent_cache()
+    bases, (_, _, x3) = two_parent_design()
     logl = np.array([0.5, -1.0, 1.5])
     lambdas = np.exp(logl)
     r_hat = fit_inner(cache, logl)[0]
@@ -210,9 +218,11 @@ def test_edf_blocks_match_explicit_formula():
         Hp = Hu + lam * gram + RIDGE * np.eye(gram.shape[0])
         expected.append(np.trace(np.linalg.solve(Hp, Hu)))
     free = np.r_[True, r_hat[1:] > 1e-12]
-    Tf = np.tril(np.ones((cache.p, cache.p)))[:, free]
-    PT, bT = cache.P_mon @ Tf, cache.b @ Tf
-    s = cache.b @ np.cumsum(r_hat)
+    T = np.tril(np.ones((cache.p, cache.p)))
+    Tf = T[:, free]
+    b = bases[2].eval_deriv(x3)
+    PT, bT = cache.P_mon @ Tf, b @ Tf
+    s = b @ T @ r_hat
     Hu = PT.T @ PT + bT.T @ (bT / s[:, None] ** 2)
     Hp = Hu + Tf.T @ (lambdas[-1] * cache.mon_gram + RIDGE * np.eye(cache.p)) @ Tf
     expected.append(np.trace(np.linalg.solve(Hp, Hu)))

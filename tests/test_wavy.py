@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from pstransport import wavy
+from pstransport import objective, wavy
 from pstransport.objective import ModelTooComplexError
 from pstransport.wavy import WavyConfig, profile_lambda, sample_wavy
 
@@ -109,3 +111,40 @@ def test_profile_keeps_only_numerical_failures(monkeypatch):
     monkeypatch.setattr(wavy, "outer_objective", broken)
     with pytest.raises(TypeError):
         profile_lambda(config)
+
+
+def test_profile_inner_solves_converge(monkeypatch):
+    """Every inner solve of the default profile converges, on the grid and
+    inside the smoothing adaptation."""
+    inner = objective.fit_inner
+    converged = []
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        converged.append(out[2])
+        return out
+
+    monkeypatch.setattr(objective, "fit_inner", recorded)
+    profile_lambda(WavyConfig(num_pullback=50))
+    assert len(converged) > 41 and all(converged)
+
+
+def test_profile_warns_on_unconverged_inner_solve(monkeypatch, caplog):
+    """An unconverged row is logged with its log lambda and projected
+    gradient; the table is unchanged."""
+    config = WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10)
+    want = profile_lambda(config).table
+    inner = objective.fit_inner
+
+    def unconverged_at_minus_five(cache, log_lambdas, r0=None, **kwargs):
+        r, iters, converged, pg = inner(cache, log_lambdas, r0=r0, **kwargs)
+        return r, iters, converged and log_lambdas[0] != -5.0, pg
+
+    monkeypatch.setattr(objective, "fit_inner", unconverged_at_minus_five)
+    with caplog.at_level(logging.WARNING, logger="pstransport.wavy"):
+        table = profile_lambda(config).table
+    assert np.array_equal(table, want, equal_nan=True)
+    messages = [rec.getMessage() for rec in caplog.records
+                if rec.levelno == logging.WARNING]
+    assert len(messages) == 1
+    assert "log lambda -5" in messages[0] and "projected gradient" in messages[0]
