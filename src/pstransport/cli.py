@@ -6,10 +6,11 @@ Three subcommands share the flags --config/--out/--seed-offset/--threads:
   wavy      run the bivariate smoothing-profile study
   lorenz63  run twin-experiment filter comparisons
 
-Configs are JSON documents; unknown keys are rejected. Output tables are
-tab-separated text with a provenance header (config hash + seed). Exit
-codes: 0 success, 2 config error, 3 compute error. Set PSTRANSPORT_LOG
-to a level name (e.g. DEBUG) for verbose logging.
+Configs are JSON objects keyed by dataclass fields; unknown keys and
+values of the wrong type are rejected. Output tables are tab-separated
+text with a provenance header (config hash + seed). Exit codes: 0
+success, 2 config error, 3 compute error. Set PSTRANSPORT_LOG to a level
+name (e.g. DEBUG) for verbose logging.
 """
 
 import argparse
@@ -19,12 +20,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .lorenz63 import Lorenz63Params, run_filter
-from .tmap import Ensemble, MapFitConfig, fit
-from .wavy import WavyConfig, profile_lambda, sample_wavy
+from .tmap import Ensemble, MapFitConfig, _validate_parent_sets, fit
+from .wavy import WavyConfig, profile_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -90,31 +92,47 @@ def _read_ensemble_table(path):
     return Ensemble(data, names)
 
 
-def _validate_parent_sets_config(parent_sets, dim):
-    if not isinstance(parent_sets, list) or len(parent_sets) != dim:
-        raise ConfigError(f"parent_sets must list one entry per variable ({dim})")
-    for j, ps in enumerate(parent_sets):
-        if not isinstance(ps, list) or any(
-            not isinstance(p, int) or not 0 <= p < j for p in ps
-        ):
-            raise ConfigError(
-                f"parent_sets[{j}] must contain integers below {j} (triangularity)"
-            )
+def _typed(key, value, kind, nullable=False):
+    """``value`` of key ``key`` as ``kind``: an int takes integral floats but not
+    bools, a float takes ints, and null stands only where ``nullable``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if value is None and nullable or kind in (bool, str, list) and isinstance(value, kind):
+        return value
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number:
+        return float(value)
+    raise ConfigError(f"{key} must be {'null or ' * nullable}{kind.__name__}, not {value!r}")
 
 
-_FIT_KEYS = ("ensemble", "parent_sets", "degree", "num_real_knots", "adapt",
-             "adapt_monotone", "fixed_monotone_log_lambda", "max_outer",
-             "standardize", "block_split", "fit_upper", "seed")
+def _keys(cls, *skip):
+    """Config keys of dataclass ``cls``: its field names except ``skip``."""
+    return [f.name for f in fields(cls) if f.name not in skip]
+
+
+def _config_from(cls, doc, **parsers):
+    """``cls`` built from the keys of ``doc`` that name its fields, each typed as
+    its field or read by ``parsers[key]``; absent keys keep the defaults."""
+    kwargs = {f.name: parsers[f.name](doc[f.name]) if f.name in parsers
+              else _typed(f.name, doc[f.name], f.type, f.default is None)
+              for f in fields(cls) if f.name in doc}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_fit(config_path, out_dir, seed_offset, threads):
-    doc = _load_config(config_path, _FIT_KEYS, required=("ensemble", "parent_sets"))
-    ensemble = _read_ensemble_table(doc["ensemble"])
-    _validate_parent_sets_config(doc["parent_sets"], ensemble.dim)
-    cfg = MapFitConfig(**{k: doc[k] for k in _FIT_KEYS
-                          if k in doc and k not in ("ensemble", "parent_sets", "seed")})
+    keys = ["ensemble", "parent_sets", "seed", *_keys(MapFitConfig, "init_log_lambdas")]
+    doc = _load_config(config_path, keys, required=("ensemble", "parent_sets"))
+    cfg = _config_from(MapFitConfig, doc)
+    seed = _typed("seed", doc.get("seed", 0), int) + seed_offset
+    ensemble = _read_ensemble_table(_typed("ensemble", doc["ensemble"], str))
+    try:
+        _validate_parent_sets(doc["parent_sets"], ensemble.dim)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parent_sets: {exc}") from exc
     chash = _config_hash(doc)
-    seed = int(doc.get("seed", 0)) + seed_offset
     tri, reports = fit(ensemble, doc["parent_sets"], cfg)
     tri.save(os.path.join(out_dir, "map.json"))
     rows = []
@@ -134,35 +152,23 @@ def cmd_fit(config_path, out_dir, seed_offset, threads):
     return 0
 
 
-def _config_from(cls, doc, converters):
-    """``cls`` built from the keys of ``converters`` present in ``doc``;
-    absent keys keep the defaults of ``cls``."""
-    try:
-        return cls(**{k: conv(doc[k]) for k, conv in converters.items() if k in doc})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_grid(spec):
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
+        return np.array([_typed("grid", v, float) for v in spec])
     if isinstance(spec, dict):
         extra = set(spec) - {"start", "stop", "num"}
         if extra:
             raise ConfigError(f"unknown grid keys: {sorted(extra)}")
         default = WavyConfig().grid
-        return np.linspace(spec.get("start", default[0]), spec.get("stop", default[-1]),
-                           int(spec.get("num", default.size)))
+        return np.linspace(_typed("grid start", spec.get("start", default[0]), float),
+                           _typed("grid stop", spec.get("stop", default[-1]), float),
+                           _typed("grid num", spec.get("num", default.size), int))
     raise ConfigError("grid must be a list of values or {start, stop, num}")
 
 
-_WAVY_KEYS = {"n": int, "num_real_knots": int, "fixed_monotone_log_lambda": float,
-              "grid": _parse_grid, "seed": int, "num_pullback": int}
-
-
 def cmd_wavy(config_path, out_dir, seed_offset, threads):
-    doc = _load_config(config_path, _WAVY_KEYS)
-    wcfg = _config_from(WavyConfig, doc, _WAVY_KEYS)
+    doc = _load_config(config_path, _keys(WavyConfig, "generator"))
+    wcfg = _config_from(WavyConfig, doc, grid=_parse_grid)
     wcfg.seed += seed_offset
     chash = _config_hash(doc)
     header = [f"config_hash={chash} seed={wcfg.seed}"]
@@ -185,29 +191,28 @@ def cmd_wavy(config_path, out_dir, seed_offset, threads):
     return 0
 
 
-_L63_PARAMS = {"steps": int, "spinup": int, "dt": float, "obs_interval": float,
-               "obs_sigma": float}
-_L63_KEYS = ("methods", "n_grid", "seeds", "max_outer", *_L63_PARAMS)
-
-
 def _one_l63_run(args):
     params, n, seed, method, fit_cfg = args
     return run_filter(params, n, seed, method=method, fit_config=fit_cfg)
 
 
 def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
-    doc = _load_config(config_path, _L63_KEYS)
-    methods = doc.get("methods", ["transport", "linear-baseline"])
+    model = _keys(Lorenz63Params, "sigma", "beta", "rho")   # the classical chaotic regime
+    doc = _load_config(config_path, ["methods", "n_grid", "seeds", "max_outer", *model])
+    methods = _typed("methods", doc.get("methods", ["transport", "linear-baseline"]), list)
     if any(m not in ("transport", "linear-baseline") for m in methods):
         raise ConfigError("methods must be transport and/or linear-baseline")
-    n_grid = doc.get("n_grid", [50, 250, 1000])
-    seeds = [int(s) + seed_offset for s in doc.get("seeds", list(range(10)))]
-    params = _config_from(Lorenz63Params, doc, _L63_PARAMS)
+    n_grid = [_typed("n_grid", n, int)
+              for n in _typed("n_grid", doc.get("n_grid", [50, 250, 1000]), list)]
+    seeds = [_typed("seeds", s, int) + seed_offset
+             for s in _typed("seeds", doc.get("seeds", list(range(10))), list)]
+    params = _config_from(Lorenz63Params, doc)
     # without max_outer, run_filter picks its own fit settings
-    fit_cfg = MapFitConfig(max_outer=int(doc["max_outer"])) if "max_outer" in doc else None
+    fit_cfg = _config_from(MapFitConfig, {"max_outer": doc["max_outer"]}) \
+        if "max_outer" in doc else None
     chash = _config_hash(doc)
 
-    jobs = [(params, int(n), seed, method, fit_cfg)
+    jobs = [(params, n, seed, method, fit_cfg)
             for method in methods for n in n_grid for seed in seeds]
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
@@ -252,8 +257,8 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed-offset", type=int, default=0)
         p.add_argument("--threads", type=int, default=0,
-                       help="worker processes; 1 guarantees bit-reproducible "
-                            "output, 0 picks the CPU count")
+                       help="worker processes of lorenz63 (fit and wavy ignore it); "
+                            "1 guarantees bit-reproducible output, 0 picks the CPU count")
     return parser
 
 

@@ -144,8 +144,7 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
     return out, reports[1:], warm
 
 
-def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
-               warm_start_lambdas=True):
+def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
     """Run one twin experiment and collect RMSE and complexity diagnostics.
 
     ``method`` is "transport" or "linear-baseline". Map fit failures are
@@ -180,8 +179,7 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None,
             for v in range(3):
                 if method == "transport":
                     members, reports, warm[v] = transport_update(
-                        members, y_all[v], params.obs_sigma, v, rng, fit_config,
-                        warm_lambdas=warm[v] if warm_start_lambdas else None,
+                        members, y_all[v], params.obs_sigma, v, rng, fit_config, warm[v]
                     )
                     fractions.append([r.edf / r.raw_basis for r in reports])
                 else:

@@ -43,8 +43,10 @@ __all__ = [
     "adapt_lambdas",
 ]
 
-RIDGE = 1e-8          # unconditional ridge keeping the lambda -> 0 limit solvable
-PIN_TOL = 1e-12       # increments at or below this are treated as pinned at zero
+RIDGE = 1e-8           # unconditional ridge keeping the lambda -> 0 limit solvable
+PIN_TOL = 1e-12        # increments at or below this are treated as pinned at zero
+OUTER_TOL_OBJ = 1e-6   # the outer search stops when a step gains at most this
+OUTER_TOL_GRAD = 1e-4  # ... or when the adapted outer gradient norm is at most this
 
 
 class BarrierViolationError(ValueError):
@@ -172,7 +174,11 @@ class DesignCache:
 
 @dataclass
 class FitReport:
-    """Diagnostics of one adapted component fit."""
+    """Diagnostics of one adapted component fit.
+
+    ``grad_norm`` is the outer gradient norm where ``adapt_lambdas`` last took
+    it; after a stop on ``max_outer`` or ``OUTER_TOL_OBJ`` that is the point
+    before the returned ``log_lambdas``, so the norm is one step stale."""
 
     nll: float
     edf: float
@@ -185,7 +191,6 @@ class FitReport:
     edf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n: int = 0
     raw_basis: int = 0
-    ridge: float = RIDGE
 
 
 # -- objective values -------------------------------------------------------
@@ -449,8 +454,7 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
 LOG_LAMBDA_BOUNDS = (-15.0, 15.0)
 
 
-def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50,
-                  tol_obj=1e-6, tol_grad=1e-4, r0=None):
+def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50):
     """Descend the AICc outer objective over log smoothing parameters.
 
     ``adapt_mask`` selects which blocks move (the fixed-monotone regime
@@ -460,7 +464,7 @@ def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50,
         else np.array(log_lambdas0, dtype=float)
     mask = np.ones(cache.num_blocks, dtype=bool) if adapt_mask is None \
         else np.asarray(adapt_mask, dtype=bool)
-    value, report, r_hat = outer_objective(cache, logl, r0=r0)
+    value, report, r_hat = outer_objective(cache, logl)
     outer_it = 0
     grad_norm = np.inf
     if mask.any():
@@ -469,7 +473,7 @@ def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50,
             grad = outer_gradient(cache, logl, r_hat=r_hat)
             grad = np.where(mask, grad, 0.0)
             grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= tol_grad:
+            if grad_norm <= OUTER_TOL_GRAD:
                 break
             direction = -grad
             # trust-region cap: at most one log-lambda unit per outer step,
@@ -494,7 +498,7 @@ def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50,
                 break
             delta = value - v_new
             logl, value, report, r_hat = trial, v_new, rep_new, r_new
-            if delta <= tol_obj:
+            if delta <= OUTER_TOL_OBJ:
                 break
     report.outer_iters = outer_it
     report.grad_norm = grad_norm if np.isfinite(grad_norm) else report.grad_norm

@@ -68,7 +68,6 @@ class MapFitConfig:
     """Settings for fitting a triangular map."""
 
     degree: int = 3
-    penalty_order: int = 2
     num_real_knots: int = None          # override the cube-root knot rule
     adapt: bool = True
     adapt_monotone: bool = True         # False reproduces the fixed-monotone regime
@@ -92,12 +91,12 @@ def _component_context(label):
 
 def _validate_parent_sets(parent_sets, dim):
     if len(parent_sets) != dim:
-        raise ValueError("one parent set per variable required")
+        raise ValueError(f"one parent set per variable required ({dim})")
     for j, parents in enumerate(parent_sets):
         for p in parents:
-            if not 0 <= p < j:
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p < j:
                 raise ValueError(
-                    f"component {j} lists parent {p}; parents must be below {j}"
+                    f"component {j} lists parent {p!r}; parents must be integers below {j}"
                 )
 
 
@@ -185,9 +184,8 @@ class TriangularMap:
             raise ValueError(f"x_a_star must have length {split}")
         Z = (members - self.center) / self.scale
         zb = [self._component(j).eval_many(Z) for j in range(split, self.dim)]
-        new_std = np.empty_like(Z)
-        new_std[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
-        return self._invert_from(new_std, zb, split) * self.scale + self.center
+        Z[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
+        return self._invert_from(Z, zb, split) * self.scale + self.center
 
     def sample_conditional(self, x_a_star, num, seed=None):
         """Draw block-b samples conditioned on block a = x_a_star."""
@@ -296,7 +294,9 @@ def fit(ensemble, parent_sets, config=None):
     reports = [None] * ensemble.dim
     for j in range(first, ensemble.dim):
         with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
-            components[j], reports[j] = _fit_component(Z, j, parent_sets[j], config)
+            cache, kept_parents = _component_design(Z, j, parent_sets[j], config)
+            logl, reports[j], r_hat = _fit_design(cache, j, config)
+            components[j] = _component_from_fit(cache, kept_parents, j, logl, r_hat)
     return TriangularMap(components, center, scale, ensemble.names,
                          config.block_split), reports
 
@@ -317,7 +317,7 @@ def _component_design(Z, j, parents, config):
         non_bases.append(SplineBasis(kv))
         kept_parents.append(p)
     cache = DesignCache(non_bases, [Z[:, p] for p in kept_parents],
-                        mon_basis, Z[:, j], config.penalty_order)
+                        mon_basis, Z[:, j])
     return cache, kept_parents
 
 
@@ -328,20 +328,17 @@ def _component_from_fit(cache, parents, j, log_lambdas, r_hat):
                         beta_non, r_hat, log_lambdas)
 
 
-def _fit_component(Z, j, parents, config):
-    cache, kept_parents = _component_design(Z, j, parents, config)
+def _fit_design(cache, j, config):
+    """Fit component j on its design: start log-lambdas, adaptation mask and
+    ``max_outer`` from ``config``. Returns (log_lambdas, report, r_hat)."""
     logl0 = np.full(cache.num_blocks, config.init_log_lambda)
     if not config.adapt_monotone:
         logl0[-1] = config.fixed_monotone_log_lambda
     if config.init_log_lambdas and config.init_log_lambdas[j] is not None:
         logl0 = np.array(config.init_log_lambdas[j], dtype=float)
-    if config.adapt:
-        mask = np.ones(cache.num_blocks, dtype=bool)
-        mask[-1] = config.adapt_monotone
-        logl, report, r_hat = adapt_lambdas(
-            cache, logl0, adapt_mask=mask, max_outer=config.max_outer
-        )
-    else:
-        logl = logl0
-        _, report, r_hat = outer_objective(cache, logl)
-    return _component_from_fit(cache, kept_parents, j, logl, r_hat), report
+    if not config.adapt:
+        _, report, r_hat = outer_objective(cache, logl0)
+        return logl0, report, r_hat
+    mask = np.ones(cache.num_blocks, dtype=bool)
+    mask[-1] = config.adapt_monotone
+    return adapt_lambdas(cache, logl0, adapt_mask=mask, max_outer=config.max_outer)

@@ -12,14 +12,13 @@ oscillatory structure), not an external ground truth.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .objective import BarrierViolationError, ModelTooComplexError, adapt_lambdas, \
-    outer_objective
+from .objective import BarrierViolationError, ModelTooComplexError, outer_objective
 from .tmap import Ensemble, MapFitConfig, TriangularMap, _component_design, \
-    _component_from_fit, fit
+    _component_from_fit, _fit_design, fit
 
 logger = logging.getLogger(__name__)
 
@@ -96,10 +95,9 @@ def profile_lambda(config=None):
     map_config = MapFitConfig(
         num_real_knots=config.num_real_knots,
         adapt=False,
-        init_log_lambdas=[
-            np.array([config.fixed_monotone_log_lambda]),
-            np.array([0.0, config.fixed_monotone_log_lambda]),
-        ],
+        adapt_monotone=False,
+        fixed_monotone_log_lambda=config.fixed_monotone_log_lambda,
+        init_log_lambda=0.0,
     )
     tri0, _ = fit(ensemble, [[], [0]], map_config)
     Zs = (ensemble.data - tri0.center) / tri0.scale
@@ -125,10 +123,7 @@ def profile_lambda(config=None):
         raise RuntimeError("every grid point failed to fit")
     argmin = float(table[ok, 0][np.argmin(table[ok, 3])])
 
-    mask = np.array([True, False])
-    logl_ad, _, _ = adapt_lambdas(
-        cache, np.array([2.0, config.fixed_monotone_log_lambda]), adapt_mask=mask
-    )
+    logl_ad, _, _ = _fit_design(cache, 1, replace(map_config, adapt=True, init_log_lambda=2.0))
 
     clouds = {}
     rng = np.random.default_rng(config.seed + 1)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_triangularity_violation_rejected(tmp_path, gaussian_table):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[1], []]})
     assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("parent_sets", [[[], [0.5]], [[], 0], [[], ["0"]], 2, None])
+def test_malformed_parent_sets_rejected(tmp_path, gaussian_table, monkeypatch, parent_sets):
+    calls = capture(monkeypatch, "fit")
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": parent_sets})
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert not calls
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -214,3 +224,72 @@ def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
     (params, _, _), kwargs = calls[1]
     assert params == Lorenz63Params(steps=7)
     assert kwargs["fit_config"] == MapFitConfig(max_outer=3)
+
+
+@pytest.mark.parametrize("command, stubbed, doc", [
+    ("fit", "fit", {"adapt": "false"}),
+    ("fit", "fit", {"max_outer": 2.5}),
+    ("fit", "fit", {"degree": "3"}),
+    ("fit", "fit", {"fixed_monotone_log_lambda": True}),
+    ("fit", "fit", {"seed": 1.5}),
+    ("wavy", "profile_lambda", {"n": 30.9}),
+    ("wavy", "profile_lambda", {"num_real_knots": None}),
+    ("wavy", "profile_lambda", {"grid": {"num": 5.5}}),
+    ("lorenz63", "run_filter", {"steps": True}),
+    ("lorenz63", "run_filter", {"seeds": [0, 1.5]}),
+    ("lorenz63", "run_filter", {"n_grid": ["50"]}),
+    ("lorenz63", "run_filter", {"max_outer": None}),
+    ("fit", "fit", {"ensemble": 0}),
+    ("lorenz63", "run_filter", {"methods": "transport"}),
+    ("lorenz63", "run_filter", {"n_grid": 50}),
+    ("lorenz63", "run_filter", {"seeds": 5}),
+])
+def test_mistyped_values_are_config_errors(tmp_path, gaussian_table, monkeypatch,
+                                           command, stubbed, doc):
+    """A value that does not match its field's type exits with 2 before any work."""
+    calls = capture(monkeypatch, stubbed)
+    if command == "fit":
+        doc = {"ensemble": gaussian_table, "parent_sets": [[], [0]], **doc}
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 2
+    assert not calls
+
+
+def test_typed_values_are_converted(tmp_path, gaussian_table, monkeypatch):
+    """Integral floats reach int fields as ints, ints reach float fields as
+    floats, and null reaches a field whose default is None."""
+    calls = capture(monkeypatch, "fit")
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]],
+                      "max_outer": 3.0, "fixed_monotone_log_lambda": 7,
+                      "num_real_knots": None})
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    (_, _, got), _ = calls[0]
+    assert got == MapFitConfig(max_outer=3, fixed_monotone_log_lambda=7.0)
+    assert type(got.max_outer) is int and type(got.fixed_monotone_log_lambda) is float
+
+    calls = capture(monkeypatch, "profile_lambda")
+    cfg = write_json(tmp_path / "w.json", {"n": 40.0, "grid": [-1, 0.5, 2]})
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    (got,), _ = calls[0]
+    assert type(got.n) is int and got.n == 40
+    assert np.array_equal(got.grid, [-1.0, 0.5, 2.0])
+
+
+def test_every_scalar_fit_field_reaches_fit(tmp_path, gaussian_table, monkeypatch):
+    """The fit keys are the scalar MapFitConfig fields; a config that sets each
+    of them to a non-default value reaches fit as exactly that config."""
+    calls = capture(monkeypatch, "fit")
+    values = {"degree": 2, "num_real_knots": 7, "adapt": False,
+              "adapt_monotone": False, "fixed_monotone_log_lambda": 7.5,
+              "init_log_lambda": -1.0, "max_outer": 4, "standardize": False,
+              "block_split": 1, "fit_upper": False}
+    assert set(values) == {f.name for f in fields(MapFitConfig)} - {"init_log_lambdas"}
+    want = MapFitConfig(**values)
+    assert all(getattr(want, k) != getattr(MapFitConfig(), k) for k in values)
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]], **values})
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    (_, parent_sets, got), _ = calls[0]
+    assert parent_sets == [[], [0]]
+    assert got == want

@@ -60,6 +60,26 @@ def test_parent_set_triangularity():
         fit(ens, [[]])
 
 
+@pytest.mark.parametrize("parent", [0.5, 0.0, True, "0"])
+def test_parent_indices_must_be_integers(parent):
+    """A parent index that is not an integer fails validation, before any fit."""
+    with pytest.raises(ValueError, match="parents must be integers below 1"):
+        fit(gaussian_ensemble(50), [[], [parent]])
+
+
+def test_fixed_monotone_regime_keeps_monotone_lambda():
+    """adapt_monotone=False pins every monotone log-lambda at its fixed value
+    while the parent smoothing parameters still move."""
+    config = MapFitConfig(adapt_monotone=False, fixed_monotone_log_lambda=7.0, max_outer=5)
+    tri, reports = fit(gaussian_ensemble(200, dim=3), [[], [0], [0, 1]], config)
+    for j, report in enumerate(reports):
+        assert report.log_lambdas[-1] == 7.0
+        assert np.array_equal(tri.components[j].log_lambdas, report.log_lambdas)
+        if j:
+            assert report.outer_iters >= 1
+            assert np.all(report.log_lambdas[:-1] != config.init_log_lambda)
+
+
 def test_pushforward_is_whitened(fitted):
     ens, tri, _ = fitted
     z = tri.pushforward_ensemble(ens).data
