@@ -25,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 
 from .lorenz63 import Lorenz63Params, run_filter
-from .tmap import Ensemble, MapFitConfig, _validate_parent_sets, fit
+from .tmap import Ensemble, MapFitConfig, _validate_fit, fit
 from .wavy import WavyConfig, profile_lambda
 
 logger = logging.getLogger(__name__)
@@ -129,9 +129,9 @@ def cmd_fit(config_path, out_dir, seed_offset, threads):
     seed = _typed("seed", doc.get("seed", 0), int) + seed_offset
     ensemble = _read_ensemble_table(_typed("ensemble", doc["ensemble"], str))
     try:
-        _validate_parent_sets(doc["parent_sets"], ensemble.dim)
+        _validate_fit(doc["parent_sets"], ensemble.dim, cfg)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parent_sets: {exc}") from exc
+        raise ConfigError(f"fit inputs: {exc}") from exc
     chash = _config_hash(doc)
     tri, reports = fit(ensemble, doc["parent_sets"], cfg)
     tri.save(os.path.join(out_dir, "map.json"))

@@ -12,6 +12,9 @@ import numpy as np
 
 __all__ = ["MapComponent", "NotInvertibleError"]
 
+INVERT_TOL = 1e-10      # inversion residual tolerance, relative to max(1, |target|)
+INVERT_MAX_ITER = 200   # safeguarded Newton iterations per inversion
+
 
 class NotInvertibleError(RuntimeError):
     """A target lies where the monotone term is flat, or the solve missed it."""
@@ -24,11 +27,6 @@ def _not_invertible(reason, gap, z_targets):
         f"{reason}: member {worst}, target {z_targets[worst]:.6g}, "
         f"residual {gap[worst]:.3g}"
     )
-
-
-def cumulative(raw):
-    """Map raw (level, increments...) parameters to monotone coefficients."""
-    return np.cumsum(raw)
 
 
 class MapComponent:
@@ -71,7 +69,7 @@ class MapComponent:
             raise ValueError(f"beta_non has size {self.beta_non.size}, expected {expected}")
         if self.beta_mon_raw.size != mon_basis.num_basis:
             raise ValueError("beta_mon_raw size must match monotone basis")
-        self.beta_mon = cumulative(self.beta_mon_raw)
+        self.beta_mon = np.cumsum(self.beta_mon_raw)
         self.log_lambdas = None if log_lambdas is None else np.asarray(log_lambdas, float)
         self._slices = []
         start = 0
@@ -102,7 +100,7 @@ class MapComponent:
             raise ValueError("NaN coordinate")
         return self.parent_term_many(rows) + self.mon_basis.eval(rows[:, self.own]) @ self.beta_mon
 
-    def invert_many(self, rows, z_targets, tol=1e-10, max_iter=200):
+    def invert_many(self, rows, z_targets):
         """Solve S(parents of rows[i], x_i) = z_targets[i] for every member i.
 
         ``rows`` is (n, d); its own-index column is ignored. Targets beyond the
@@ -142,11 +140,11 @@ class MapComponent:
             hi = np.full(tm.size, kn.last)
             xm = kn.first + (tm - f_lo) / (f_hi - f_lo) * (kn.last - kn.first)
             last_step = step_before = hi - lo
-            for _ in range(max_iter):
+            for _ in range(INVERT_MAX_ITER):
                 fm = f(xm) - tm
                 # accept when the residual is small on the target scale or the
                 # bracket has collapsed to floating-point resolution
-                done = (np.abs(fm) <= tol * sm) | \
+                done = (np.abs(fm) <= INVERT_TOL * sm) | \
                     (hi - lo <= 4e-16 * np.maximum(1.0, np.abs(xm)))
                 if done.all():
                     break
@@ -167,12 +165,12 @@ class MapComponent:
         # steep monotone term, one ulp in x moves f by |f'(x)| * ulp(x)
         resolvable = np.abs(self.ddx(x)) * np.abs(x) * 2e-16
         resid = np.abs(f(x) + g - z_targets)
-        missed = resid > 100 * (tol * scale + resolvable)
+        missed = resid > 100 * (INVERT_TOL * scale + resolvable)
         if missed.any():
             raise _not_invertible("inversion did not reach tolerance",
                                   np.where(missed, resid, -np.inf), z_targets)
         return x
 
-    def invert_in_last(self, x_row, z_target, tol=1e-10):
+    def invert_in_last(self, x_row, z_target):
         """Single-row form of invert_many; returns the own coordinate."""
-        return float(self.invert_many(np.atleast_2d(x_row), [z_target], tol)[0])
+        return float(self.invert_many(np.atleast_2d(x_row), [z_target])[0])

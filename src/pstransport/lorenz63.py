@@ -122,7 +122,8 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
                      warm_lambdas=None):
     """Assimilate a scalar observation of one state variable with a sparse map.
 
-    Returns (updated members, FitReport list, warm-start log-lambdas).
+    Returns (updated members, FitReports of the three state components);
+    the reports' log-lambdas warm-start the next update of this variable.
     """
     n = members.shape[0]
     order = _STATE_ORDERS[obs_index]
@@ -140,8 +141,7 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
     out = members.copy()
     for k, var in enumerate(order):
         out[:, var] = updated_block[:, k]
-    warm = [r.log_lambdas for r in reports[1:]]
-    return out, reports[1:], warm
+    return out, reports[1:]
 
 
 def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
@@ -178,9 +178,10 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
         try:
             for v in range(3):
                 if method == "transport":
-                    members, reports, warm[v] = transport_update(
+                    members, reports = transport_update(
                         members, y_all[v], params.obs_sigma, v, rng, fit_config, warm[v]
                     )
+                    warm[v] = [r.log_lambdas for r in reports]
                     fractions.append([r.edf / r.raw_basis for r in reports])
                 else:
                     members = linear_baseline_update(

@@ -45,6 +45,8 @@ __all__ = [
 
 RIDGE = 1e-8           # unconditional ridge keeping the lambda -> 0 limit solvable
 PIN_TOL = 1e-12        # increments at or below this are treated as pinned at zero
+INNER_TOL = 1e-8       # relative projected-gradient tolerance of the inner solve
+INNER_MAX_ITER = 500   # projected Newton iterations before the inner solve gives up
 OUTER_TOL_OBJ = 1e-6   # the outer search stops when a step gains at most this
 OUTER_TOL_GRAD = 1e-4  # ... or when the adapted outer gradient norm is at most this
 
@@ -225,29 +227,27 @@ def _newton_state(cache, H, r):
     return s, Hr, Hr - cache.W.T @ (1.0 / s), H + Ws.T @ Ws
 
 
-def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas, ops=None):
+def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
-    if ops is None:
-        ops = cache.profile_operators(log_lambdas)
     r = np.asarray(beta_mon_raw, dtype=float)
-    s, Hr, grad, hess = _newton_state(cache, ops[0], r)
+    s, Hr, grad, hess = _newton_state(cache, cache.profile_operators(log_lambdas)[0], r)
     return 0.5 * float(r @ Hr) - float(np.sum(np.log(s))), grad, hess
 
 
 # -- inner solver -----------------------------------------------------------
 
 
-def _stationarity(r, grad, Hr, tol):
+def _stationarity(r, grad, Hr):
     """(converged, projected gradient norm, pinned mask); the test is scaled
     by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``."""
     pinned = np.zeros_like(r, dtype=bool)
     pinned[1:] = (r[1:] <= PIN_TOL) & (grad[1:] > 0)
     pg_norm = float(np.linalg.norm(np.where(pinned, 0.0, grad)))
     scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
-    return pg_norm <= tol * scale, pg_norm, pinned
+    return pg_norm <= INNER_TOL * scale, pg_norm, pinned
 
 
-def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
+def fit_inner(cache, log_lambdas, r0=None):
     """Projected Newton on the reduced objective in raw coordinates, increments >= 0.
 
     Steps are accepted on the exact change ``(H r).d + d'H d / 2 -
@@ -263,8 +263,8 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
         r = cache.default_raw()
     s, Hr, grad, hess = _newton_state(cache, H, r)
     it = 0
-    for it in range(1, max_iter + 1):
-        converged, _, pinned = _stationarity(r, grad, Hr, tol)
+    for it in range(1, INNER_MAX_ITER + 1):
+        converged, _, pinned = _stationarity(r, grad, Hr)
         if converged:
             break
         free = ~pinned
@@ -293,7 +293,7 @@ def fit_inner(cache, log_lambdas, r0=None, max_iter=500, tol=1e-8):
             break   # no acceptable step: leave unconverged
         r = cand
         s, Hr, grad, hess = _newton_state(cache, H, r)
-    converged, pg_norm, _ = _stationarity(r, grad, Hr, tol)
+    converged, pg_norm, _ = _stationarity(r, grad, Hr)
     return r, it, converged, pg_norm
 
 
@@ -329,30 +329,15 @@ def _joint_hessian(cache, r_hat, lambdas):
     return Hu, Pen, blocks, free, Wf, s
 
 
-def _block_factors(Hu, Pen, blocks):
-    """Cholesky factor of each diagonal block of Hu + Pen, with Hp_b^-1 Hu_b.
-
-    Each block is taken with the other blocks' coefficients held fixed;
-    this keeps the lambda -> infinity limit at the penalty null-space
-    dimension per block even though the additive level is shared.
-    """
-    factors = []
-    for sl, _ in blocks:
-        try:
-            chol = cho_factor(Hu[sl, sl] + Pen[sl, sl])
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "penalized Hessian not positive definite"
-            ) from exc
-        factors.append((chol, cho_solve(chol, Hu[sl, sl])))
-    return factors
-
-
 def _factored_hessian(cache, r_hat, log_lambdas):
     """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
 
-    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)`` as built by
-    ``_joint_hessian`` and ``_block_factors``. The state of the last
+    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)``: the first six as
+    built by ``_joint_hessian``, and per block the Cholesky factor of the
+    diagonal block of Hu + Pen with Hp_b^-1 Hu_b. Each block is taken with
+    the other blocks' coefficients held fixed; this keeps the lambda ->
+    infinity limit at the penalty null-space dimension per block even
+    though the additive level is shared. The state of the last
     (log_lambdas, r_hat) asked for is kept on the cache (exact match) and
     is read-only, so ``edf`` in ``outer_objective`` and the
     ``outer_gradient`` that follows at the accepted point assemble and
@@ -363,7 +348,15 @@ def _factored_hessian(cache, r_hat, log_lambdas):
     if np.array_equal(key, cache._hess_key):
         return cache._hess
     Hu, Pen, blocks, free, Wf, s = _joint_hessian(cache, r_hat, np.exp(log_lambdas))
-    factors = _block_factors(Hu, Pen, blocks)
+    factors = []
+    for sl, _ in blocks:
+        try:
+            chol = cho_factor(Hu[sl, sl] + Pen[sl, sl])
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "penalized Hessian not positive definite"
+            ) from exc
+        factors.append((chol, cho_solve(chol, Hu[sl, sl])))
     for arr in (Hu, Pen, free, Wf, s, blocks[-1][1],
                 *(a for (chol, W) in factors for a in (chol[0], W))):
         arr.flags.writeable = False
@@ -454,16 +447,16 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
 LOG_LAMBDA_BOUNDS = (-15.0, 15.0)
 
 
-def adapt_lambdas(cache, log_lambdas0=None, adapt_mask=None, max_outer=50):
+def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     """Descend the AICc outer objective over log smoothing parameters.
 
-    ``adapt_mask`` selects which blocks move (the fixed-monotone regime
-    freezes the last block). Returns (log_lambdas, report, r_hat).
+    Starts at ``log_lambdas0``; ``adapt_mask`` selects which blocks move
+    (the fixed-monotone regime freezes the last block) and at most
+    ``max_outer`` steps are taken. With no block selected the start is
+    scored once and returned. Returns (log_lambdas, report, r_hat).
     """
-    logl = np.full(cache.num_blocks, 2.0) if log_lambdas0 is None \
-        else np.array(log_lambdas0, dtype=float)
-    mask = np.ones(cache.num_blocks, dtype=bool) if adapt_mask is None \
-        else np.asarray(adapt_mask, dtype=bool)
+    logl = np.array(log_lambdas0, dtype=float)
+    mask = np.asarray(adapt_mask, dtype=bool)
     value, report, r_hat = outer_objective(cache, logl)
     outer_it = 0
     grad_norm = np.inf

@@ -105,6 +105,8 @@ def make_knots(samples, degree=3, num_real_knots=None):
     ------
     DegenerateDimensionError
         If the samples are constant or the 10%/90% quantiles coincide.
+    ValueError
+        If there are fewer than 8 finite samples or ``num_real_knots`` is below 2.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 8 or not np.all(np.isfinite(x)):
@@ -127,7 +129,8 @@ def make_knots(samples, degree=3, num_real_knots=None):
         else:
             # guard against cube roots like 27**(1/3) = 3.0000000000000004
             num_real_knots = math.ceil(n_unique ** (1.0 / 3.0) - 1e-9) + 2
-    num_real_knots = max(num_real_knots, 2)
+    if num_real_knots < 2:
+        raise ValueError(f"need at least 2 real knots, got {num_real_knots}")
     return KnotVector(np.linspace(q10, q90, num_real_knots), degree)
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .component import MapComponent
-from .objective import DesignCache, FitReport, adapt_lambdas, outer_objective, \
-    solve_non_closed_form
+from .objective import DesignCache, FitReport, adapt_lambdas, solve_non_closed_form
 from .splines import DegenerateDimensionError, KnotVector, SplineBasis, make_knots
 
 logger = logging.getLogger(__name__)
@@ -70,11 +69,9 @@ class MapFitConfig:
     degree: int = 3
     num_real_knots: int = None          # override the cube-root knot rule
     adapt: bool = True
-    adapt_monotone: bool = True         # False reproduces the fixed-monotone regime
-    fixed_monotone_log_lambda: float = 10.0
+    monotone_log_lambda: float = None   # a value fixes the monotone block there
     init_log_lambda: float = 2.0
     max_outer: int = 50
-    standardize: bool = True
     block_split: int = 0                # variables below this index form block a
     fit_upper: bool = True              # also fit block-a components
     init_log_lambdas: list = field(default_factory=list, repr=False)  # warm starts
@@ -89,7 +86,12 @@ def _component_context(label):
         raise type(exc)(f"{label}: {exc}") from exc
 
 
-def _validate_parent_sets(parent_sets, dim):
+def _validate_fit(parent_sets, dim, config):
+    """Reject parent sets and settings that no fit of ``dim`` variables honours."""
+    if not 0 <= config.block_split <= dim:
+        raise ValueError(f"block_split must lie in [0, {dim}], not {config.block_split}")
+    if config.max_outer < 0:
+        raise ValueError(f"max_outer must be nonnegative, not {config.max_outer}")
     if len(parent_sets) != dim:
         raise ValueError(f"one parent set per variable required ({dim})")
     for j, parents in enumerate(parent_sets):
@@ -259,9 +261,7 @@ class TriangularMap:
             return cls.from_dict(json.load(fh))
 
 
-def _standardization(data, standardize):
-    if not standardize:
-        return np.zeros(data.shape[1]), np.ones(data.shape[1])
+def _standardization(data):
     center = np.median(data, axis=0)
     iqr = np.quantile(data, 0.75, axis=0) - np.quantile(data, 0.25, axis=0)
     scale = iqr / NORMAL_IQR
@@ -286,8 +286,8 @@ def fit(ensemble, parent_sets, config=None):
         Reports are None for skipped upper-block components.
     """
     config = config or MapFitConfig()
-    _validate_parent_sets(parent_sets, ensemble.dim)
-    center, scale = _standardization(ensemble.data, config.standardize)
+    _validate_fit(parent_sets, ensemble.dim, config)
+    center, scale = _standardization(ensemble.data)
     Z = (ensemble.data - center) / scale
     first = 0 if config.fit_upper else config.block_split
     components = [None] * ensemble.dim
@@ -332,13 +332,10 @@ def _fit_design(cache, j, config):
     """Fit component j on its design: start log-lambdas, adaptation mask and
     ``max_outer`` from ``config``. Returns (log_lambdas, report, r_hat)."""
     logl0 = np.full(cache.num_blocks, config.init_log_lambda)
-    if not config.adapt_monotone:
-        logl0[-1] = config.fixed_monotone_log_lambda
     if config.init_log_lambdas and config.init_log_lambdas[j] is not None:
         logl0 = np.array(config.init_log_lambdas[j], dtype=float)
-    if not config.adapt:
-        _, report, r_hat = outer_objective(cache, logl0)
-        return logl0, report, r_hat
-    mask = np.ones(cache.num_blocks, dtype=bool)
-    mask[-1] = config.adapt_monotone
-    return adapt_lambdas(cache, logl0, adapt_mask=mask, max_outer=config.max_outer)
+    mask = np.full(cache.num_blocks, config.adapt)
+    if config.monotone_log_lambda is not None:
+        logl0[-1] = config.monotone_log_lambda
+        mask[-1] = False
+    return adapt_lambdas(cache, logl0, mask, config.max_outer)

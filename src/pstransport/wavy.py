@@ -25,17 +25,17 @@ logger = logging.getLogger(__name__)
 __all__ = ["WavyConfig", "ProfileResult", "sample_wavy", "profile_lambda"]
 
 
-def sample_wavy(n, seed, omega=3.0, noise=0.25):
+def sample_wavy(n, seed):
     """Draw n samples from the default wavy target.
 
-    x1 ~ N(0,1) and x2 = sin(omega * x1) + noise * eps with eps ~ N(0,1).
+    x1 ~ N(0,1) and x2 = sin(3 x1) + 0.25 eps with eps ~ N(0,1).
     Pass a different ``generator`` to WavyConfig to study other targets.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal(n)
-    x2 = np.sin(omega * x1) + noise * rng.standard_normal(n)
+    x2 = np.sin(3.0 * x1) + 0.25 * rng.standard_normal(n)
     return Ensemble(np.column_stack([x1, x2]), ["x1", "x2"])
 
 
@@ -95,8 +95,7 @@ def profile_lambda(config=None):
     map_config = MapFitConfig(
         num_real_knots=config.num_real_knots,
         adapt=False,
-        adapt_monotone=False,
-        fixed_monotone_log_lambda=config.fixed_monotone_log_lambda,
+        monotone_log_lambda=config.fixed_monotone_log_lambda,
         init_log_lambda=0.0,
     )
     tri0, _ = fit(ensemble, [[], [0]], map_config)

@@ -67,6 +67,17 @@ def test_fit_config_keys_reach_outputs(tmp_path, gaussian_table):
     assert all(int(row[-1]) <= 1 for row in rows)
 
 
+def test_monotone_log_lambda_key_fixes_the_monotone_block(tmp_path, gaussian_table):
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]],
+                      "monotone_log_lambda": 7})
+    out = tmp_path / "out"
+    assert run(["fit", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    rows = [line.split("\t") for line in (out / "fit_report.tsv").read_text().splitlines()
+            if not line.startswith(("#", "component"))]
+    assert [row[4].split(";")[-1] for row in rows] == ["7.0", "7.0"]
+
+
 def test_missing_input_is_config_error(tmp_path):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": str(tmp_path / "nope.tsv"),
@@ -230,7 +241,7 @@ def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
     ("fit", "fit", {"adapt": "false"}),
     ("fit", "fit", {"max_outer": 2.5}),
     ("fit", "fit", {"degree": "3"}),
-    ("fit", "fit", {"fixed_monotone_log_lambda": True}),
+    ("fit", "fit", {"monotone_log_lambda": True}),
     ("fit", "fit", {"seed": 1.5}),
     ("wavy", "profile_lambda", {"n": 30.9}),
     ("wavy", "profile_lambda", {"num_real_knots": None}),
@@ -243,10 +254,14 @@ def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
     ("lorenz63", "run_filter", {"methods": "transport"}),
     ("lorenz63", "run_filter", {"n_grid": 50}),
     ("lorenz63", "run_filter", {"seeds": 5}),
+    ("fit", "fit", {"block_split": -1, "fit_upper": False}),
+    ("fit", "fit", {"block_split": 3}),
+    ("fit", "fit", {"max_outer": -3}),
 ])
 def test_mistyped_values_are_config_errors(tmp_path, gaussian_table, monkeypatch,
                                            command, stubbed, doc):
-    """A value that does not match its field's type exits with 2 before any work."""
+    """A value that does not match its field's type or range exits with 2
+    before any work."""
     calls = capture(monkeypatch, stubbed)
     if command == "fit":
         doc = {"ensemble": gaussian_table, "parent_sets": [[], [0]], **doc}
@@ -261,12 +276,12 @@ def test_typed_values_are_converted(tmp_path, gaussian_table, monkeypatch):
     calls = capture(monkeypatch, "fit")
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]],
-                      "max_outer": 3.0, "fixed_monotone_log_lambda": 7,
+                      "max_outer": 3.0, "monotone_log_lambda": 7,
                       "num_real_knots": None})
     assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 3
     (_, _, got), _ = calls[0]
-    assert got == MapFitConfig(max_outer=3, fixed_monotone_log_lambda=7.0)
-    assert type(got.max_outer) is int and type(got.fixed_monotone_log_lambda) is float
+    assert got == MapFitConfig(max_outer=3, monotone_log_lambda=7.0)
+    assert type(got.max_outer) is int and type(got.monotone_log_lambda) is float
 
     calls = capture(monkeypatch, "profile_lambda")
     cfg = write_json(tmp_path / "w.json", {"n": 40.0, "grid": [-1, 0.5, 2]})
@@ -281,8 +296,7 @@ def test_every_scalar_fit_field_reaches_fit(tmp_path, gaussian_table, monkeypatc
     of them to a non-default value reaches fit as exactly that config."""
     calls = capture(monkeypatch, "fit")
     values = {"degree": 2, "num_real_knots": 7, "adapt": False,
-              "adapt_monotone": False, "fixed_monotone_log_lambda": 7.5,
-              "init_log_lambda": -1.0, "max_outer": 4, "standardize": False,
+              "monotone_log_lambda": 7.5, "init_log_lambda": -1.0, "max_outer": 4,
               "block_split": 1, "fit_upper": False}
     assert set(values) == {f.name for f in fields(MapFitConfig)} - {"init_log_lambdas"}
     want = MapFitConfig(**values)

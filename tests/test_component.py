@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pstransport.component import MapComponent, NotInvertibleError, cumulative
+from pstransport import component
+from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.splines import KnotVector, SplineBasis
 
 
@@ -24,8 +25,8 @@ def expansion(comp, rows):
 
 
 def test_cumulative_reparametrization():
-    raw = np.array([-2.0, 1.0, 0.5])
-    assert np.array_equal(cumulative(raw), [-2.0, -1.0, -0.5])
+    comp = make_component(np.array([-2.0, 1.0, 0.5, 0.0, 2.0, 0.25, 1.0, 0.5]))
+    assert np.array_equal(comp.beta_mon, [-2.0, -1.0, -0.5, -0.5, 1.5, 1.75, 2.75, 3.25])
 
 
 def test_eval_is_additive():
@@ -89,12 +90,13 @@ def test_flat_component_not_invertible():
         comp.invert_many(np.zeros((3, 2)), np.array([5.0, 50.0, 10.0]))
 
 
-def test_unconverged_inversion_names_a_member():
+def test_unconverged_inversion_names_a_member(monkeypatch):
+    monkeypatch.setattr(component, "INVERT_MAX_ITER", 0)
     comp = make_component()
     rows = np.random.default_rng(6).uniform(-1, 1, (10, 2))
     with pytest.raises(NotInvertibleError,
                        match=r"did not reach tolerance: member \d+, target"):
-        comp.invert_many(rows, comp.eval_many(rows), max_iter=0)
+        comp.invert_many(rows, comp.eval_many(rows))
 
 
 def test_vectorized_paths_match_scalar():

@@ -124,14 +124,13 @@ def test_inner_solver_converges_and_is_stationary(cache):
 def test_inner_solution_beats_perturbations(cache):
     logl = np.array([1.0, 1.0])
     r_hat, _, _, _ = fit_inner(cache, logl)
-    ops = cache.profile_operators(logl)
-    v0, _, _ = reduced_penalized_objective(cache, r_hat, logl, ops)
+    v0, _, _ = reduced_penalized_objective(cache, r_hat, logl)
     rng = np.random.default_rng(5)
     for _ in range(20):
         r = r_hat.copy()
         r[0] += 0.01 * rng.standard_normal()
         r[1:] = np.maximum(r[1:] + 0.01 * rng.standard_normal(r.size - 1), 0)
-        v, _, _ = reduced_penalized_objective(cache, r, logl, ops)
+        v, _, _ = reduced_penalized_objective(cache, r, logl)
         assert v >= v0 - 1e-10
 
 
@@ -276,7 +275,7 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
     monkeypatch.setattr(objective, "_joint_hessian", counted_assemble)
     monkeypatch.setattr(objective, "outer_objective", counted_score)
     monkeypatch.setattr(objective, "outer_gradient", counted_gradient)
-    adapt_lambdas(gaussian_cache(seed=5), max_outer=10)
+    adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
     assert counts["hessian"] == counts["objective"]
     assert counts["in_gradient"] == 0
@@ -308,7 +307,7 @@ def test_outer_gradient_matches_refit_finite_differences(cache):
 
 
 def test_adapt_lambdas_reaches_a_minimum(cache):
-    logl, report, r_hat = adapt_lambdas(cache)
+    logl, report, r_hat = adapt_lambdas(cache, np.full(2, 2.0), np.ones(2, bool), 50)
     assert report.converged
     # grid check: no nearby lambda does better than the adapted one
     best, _, _ = outer_objective(cache, logl)
@@ -320,7 +319,7 @@ def test_adapt_lambdas_reaches_a_minimum(cache):
 
 def test_adapt_mask_keeps_monotone_fixed(cache):
     mask = np.array([True, False])
-    logl, _, _ = adapt_lambdas(cache, np.array([2.0, 10.0]), adapt_mask=mask)
+    logl, _, _ = adapt_lambdas(cache, np.array([2.0, 10.0]), mask, 50)
     assert logl[1] == 10.0
 
 

@@ -106,6 +106,14 @@ def test_make_knots_degenerate():
         make_knots(np.arange(5.0))
 
 
+@pytest.mark.parametrize("num_real_knots", [1, 0, -3])
+def test_make_knots_rejects_fewer_than_two_knots(num_real_knots):
+    x = np.random.default_rng(0).standard_normal(50)
+    assert make_knots(x, 3, 2).real.size == 2
+    with pytest.raises(ValueError, match="at least 2 real knots"):
+        make_knots(x, 3, num_real_knots)
+
+
 def test_partition_of_unity(basis):
     x = np.linspace(-2.0, 2.0, 513)
     vals = basis.eval(x)
