@@ -21,12 +21,17 @@ Smoothing parameters are adapted by descending an AICc outer objective
 whose gradient is computed with the implicit function theorem; every
 analytic derivative here is validated against finite differences in the
 test suite.
+
+Every Cholesky factor and solve calls LAPACK's ``dpotrf``/``dpotrs``
+directly: the systems are p x p and a fit makes dozens of them, so at
+small ensembles scipy's ``cho_factor``/``cho_solve`` argument handling
+costs more than the factorizations themselves.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "DesignCache",
@@ -49,6 +54,28 @@ INNER_TOL = 1e-8       # relative projected-gradient tolerance of the inner solv
 INNER_MAX_ITER = 500   # projected Newton iterations before the inner solve gives up
 OUTER_TOL_OBJ = 1e-6   # the outer search stops when a step gains at most this
 OUTER_TOL_GRAD = 1e-4  # ... or when the adapted outer gradient norm is at most this
+
+
+def _cho_factor(a):
+    """Upper Cholesky factor of symmetric positive-definite ``a`` (``dpotrf``;
+    the strict lower triangle holds leftover entries of ``a``). Raises
+    ``ValueError`` on a non-finite entry and ``LinAlgError`` when ``a`` is
+    not positive definite."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _cho_solve(c, b):
+    """Solve ``a x = b`` for a vector or matrix ``b`` given ``c = _cho_factor(a)``
+    (``dpotrs``)."""
+    if b.size == 0:   # dpotrs rejects the 0 x 0 system of a parentless component
+        return np.zeros(b.shape)
+    return dpotrs(c, b, lower=0)[0]
 
 
 class BarrierViolationError(ValueError):
@@ -160,12 +187,12 @@ class DesignCache:
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
         try:
-            chol = cho_factor(self.G_nn + self.s_non(lambdas))
+            chol = _cho_factor(self.G_nn + self.s_non(lambdas))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "singular nonmonotone system; increase lambda or ridge"
             ) from exc
-        D = cho_solve(chol, self.G_nm)
+        D = _cho_solve(chol, self.G_nm)
         H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
         ops = (H, D, lambdas)
         for arr in ops:
@@ -178,9 +205,18 @@ class DesignCache:
 class FitReport:
     """Diagnostics of one adapted component fit.
 
-    ``grad_norm`` is the outer gradient norm where ``adapt_lambdas`` last took
-    it; after a stop on ``max_outer`` or ``OUTER_TOL_OBJ`` that is the point
-    before the returned ``log_lambdas``, so the norm is one step stale."""
+    ``stop_reason`` says why ``adapt_lambdas`` stopped: ``"gradient"`` (outer
+    gradient norm at most ``OUTER_TOL_GRAD``), ``"objective"`` (an accepted
+    step gained at most ``OUTER_TOL_OBJ``), ``"cap"`` (``max_outer`` steps
+    taken), ``"line_search"`` (no acceptable step) or ``"fixed"`` (no block
+    adapted); it is empty in a report of ``outer_objective`` alone.
+
+    ``grad_norm`` is the outer log-lambda gradient norm where
+    ``adapt_lambdas`` last took it, NaN when it took none (``"fixed"``, or
+    ``max_outer=0``). After ``"cap"`` and ``"objective"`` that is the point
+    before the returned ``log_lambdas``, so the norm is one step stale. In a
+    report of ``outer_objective`` alone it is the inner solve's projected
+    gradient norm."""
 
     nll: float
     edf: float
@@ -193,6 +229,7 @@ class FitReport:
     edf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n: int = 0
     raw_basis: int = 0
+    stop_reason: str = ""
 
 
 # -- objective values -------------------------------------------------------
@@ -201,7 +238,7 @@ class FitReport:
 def _slopes(cache, beta_mon_raw):
     """Monotone derivative at every sample; raises outside the barrier domain."""
     s = cache.W @ beta_mon_raw
-    if np.any(s <= 0):
+    if s.min() <= 0:
         raise BarrierViolationError("nonpositive monotone derivative at a sample")
     return s
 
@@ -240,9 +277,10 @@ def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
 def _stationarity(r, grad, Hr):
     """(converged, projected gradient norm, pinned mask); the test is scaled
     by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``."""
-    pinned = np.zeros_like(r, dtype=bool)
-    pinned[1:] = (r[1:] <= PIN_TOL) & (grad[1:] > 0)
-    pg_norm = float(np.linalg.norm(np.where(pinned, 0.0, grad)))
+    pinned = (r <= PIN_TOL) & (grad > 0)
+    pinned[0] = False   # the level is unconstrained
+    g = np.where(pinned, 0.0, grad)
+    pg_norm = float(np.sqrt(g @ g))
     scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
     return pg_norm <= INNER_TOL * scale, pg_norm, pinned
 
@@ -267,18 +305,22 @@ def fit_inner(cache, log_lambdas, r0=None):
         converged, _, pinned = _stationarity(r, grad, Hr)
         if converged:
             break
-        free = ~pinned
-        Hf = hess[np.ix_(free, free)]
+        if pinned.any():
+            free = ~pinned
+            Hf, gf = hess[np.ix_(free, free)], grad[free]
+        else:
+            free, Hf, gf = slice(None), hess, grad
         step = np.zeros_like(r)
         boost = 0.0
         for _ in range(8):
             try:
-                step[free] = -cho_solve(cho_factor(Hf + boost * np.eye(Hf.shape[0])), grad[free])
+                Hb = Hf + boost * np.eye(Hf.shape[0]) if boost else Hf
+                step[free] = -_cho_solve(_cho_factor(Hb), gf)
                 break
             except np.linalg.LinAlgError:
                 boost = max(1e-8, 10.0 * boost) * max(1.0, np.abs(np.diag(Hf)).max())
         else:
-            step[free] = -grad[free]
+            step[free] = -gf
         alpha = 1.0
         for _ in range(40):
             cand = r + alpha * step
@@ -351,14 +393,13 @@ def _factored_hessian(cache, r_hat, log_lambdas):
     factors = []
     for sl, _ in blocks:
         try:
-            chol = cho_factor(Hu[sl, sl] + Pen[sl, sl])
+            chol = _cho_factor(Hu[sl, sl] + Pen[sl, sl])
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "penalized Hessian not positive definite"
             ) from exc
-        factors.append((chol, cho_solve(chol, Hu[sl, sl])))
-    for arr in (Hu, Pen, free, Wf, s, blocks[-1][1],
-                *(a for (chol, W) in factors for a in (chol[0], W))):
+        factors.append((chol, _cho_solve(chol, Hu[sl, sl])))
+    for arr in (Hu, Pen, free, Wf, s, blocks[-1][1], *(a for f in factors for a in f)):
         arr.flags.writeable = False
     state = (Hu, Pen, tuple(blocks), free, Wf, s, tuple(factors))
     cache._hess_key, cache._hess = key, state
@@ -427,17 +468,17 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     rhs = np.zeros((beta.size, len(blocks)))
     for col, (lam, (sl, gram)) in enumerate(zip(lambdas, blocks)):
         rhs[sl, col] = lam * (gram @ beta[sl])
-    dbeta = -cho_solve(cho_factor(Hu + Pen), rhs)
+    dbeta = -_cho_solve(_cho_factor(Hu + Pen), rhs)
 
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]
-    V_m = cho_solve(chol_m, np.eye(W_m.shape[0]))
+    V_m = _cho_solve(chol_m, np.eye(W_m.shape[0]))
     q = np.einsum("ij,ij->i", Wf @ (V_m - W_m @ V_m), Wf)
     grad_edf = np.zeros(beta.size)
     grad_edf[cache.m:] = -2.0 * Wf.T @ (q / s ** 3)
 
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
-    dedf = np.array([-lam * float(np.sum(cho_solve(chol, gram) * W.T))
+    dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))
                      for lam, (_, gram), (chol, W) in zip(lambdas, blocks, factors)])
     return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta)
 
@@ -459,7 +500,8 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     mask = np.asarray(adapt_mask, dtype=bool)
     value, report, r_hat = outer_objective(cache, logl)
     outer_it = 0
-    grad_norm = np.inf
+    grad_norm = np.nan
+    stop = "fixed"
     if mask.any():
         alpha = 1.0
         for outer_it in range(1, max_outer + 1):
@@ -467,6 +509,7 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
             grad = np.where(mask, grad, 0.0)
             grad_norm = float(np.linalg.norm(grad))
             if grad_norm <= OUTER_TOL_GRAD:
+                stop = "gradient"
                 break
             direction = -grad
             # trust-region cap: at most one log-lambda unit per outer step,
@@ -474,7 +517,6 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
             # degenerate small-lambda valley that exists for nearly
             # collinear parents
             alpha = min(max(alpha * 2.0, 1e-3), 1.0 / max(np.abs(direction).max(), 1e-12))
-            accepted = False
             for _ in range(30):
                 trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
                 try:
@@ -484,15 +526,19 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
                     alpha *= 0.5
                     continue
                 if v_new <= value - 1e-4 * alpha * grad_norm ** 2:
-                    accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
+            else:
+                stop = "line_search"
                 break
             delta = value - v_new
             logl, value, report, r_hat = trial, v_new, rep_new, r_new
             if delta <= OUTER_TOL_OBJ:
+                stop = "objective"
                 break
+        else:
+            stop = "cap"
     report.outer_iters = outer_it
-    report.grad_norm = grad_norm if np.isfinite(grad_norm) else report.grad_norm
+    report.grad_norm = grad_norm
+    report.stop_reason = stop
     return logl, report, r_hat

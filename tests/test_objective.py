@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from pstransport import objective
@@ -185,6 +186,48 @@ def no_parent_cache(n=80, seed=3):
     return DesignCache([], [], SplineBasis(make_knots(x, 3, 7)), x, 2)
 
 
+@pytest.mark.parametrize("size", range(1, 13))
+def test_lapack_helpers_match_scipy(size):
+    """The direct dpotrf/dpotrs calls give scipy's factor and solutions bit
+    for bit, for vector and multi-column right-hand sides."""
+    rng = np.random.default_rng(size)
+    A = rng.standard_normal((size, size + 2))
+    A = A @ A.T + 1e-3 * np.eye(size)
+    c = objective._cho_factor(A)
+    want = cho_factor(A)
+    assert np.array_equal(c, want[0])
+    for b in (rng.standard_normal(size), rng.standard_normal((size, 5))):
+        x = objective._cho_solve(c, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, cho_solve(want, b))
+
+
+def test_lapack_helpers_raise_like_scipy():
+    with pytest.raises(np.linalg.LinAlgError):
+        objective._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError):
+            objective._cho_factor(A)
+    empty = objective._cho_factor(np.zeros((0, 0)))
+    assert objective._cho_solve(empty, np.zeros((0, 4))).shape == (0, 4)
+
+
+def test_parentless_component_runs_every_stage():
+    """m == 0: the nonmonotone system is 0 x 0 and only the monotone block is left."""
+    cache = no_parent_cache()
+    logl = np.array([1.0])
+    _, D, _ = cache.profile_operators(logl)
+    assert D.shape == (0, cache.p)
+    r_hat, _, converged, _ = fit_inner(cache, logl)
+    assert converged
+    total, blocks = edf(cache, r_hat, logl, per_block=True)
+    assert blocks.size == 1 and 0 < total < cache.p
+    grad = outer_gradient(cache, logl, r_hat=r_hat)
+    assert grad.shape == (1,) and np.isfinite(grad).all()
+
+
 @pytest.mark.parametrize("make_cache", [two_parent_cache, no_parent_cache])
 def test_profile_operators_matches_profiled_design(make_cache):
     """H is A'A + Q of the explicitly profiled design A = P_mon T - P_non D and
@@ -315,6 +358,12 @@ def test_adapt_lambdas_reaches_a_minimum(cache):
         for d1 in (-0.5, 0.5):
             trial, _, _ = outer_objective(cache, logl + [d0, d1])
             assert trial >= best - 1e-6
+
+
+def test_capped_search_reports_cap_and_its_norm(cache):
+    _, report, _ = adapt_lambdas(cache, np.full(2, 2.0), np.ones(2, bool), 1)
+    assert (report.stop_reason, report.outer_iters) == ("cap", 1)
+    assert np.isfinite(report.grad_norm)
 
 
 def test_adapt_mask_keeps_monotone_fixed(cache):

@@ -129,16 +129,27 @@ def test_fit_does_not_depend_on_units_or_offsets():
         assert r_m.aicc == pytest.approx(r.aicc, rel=1e-12)
 
 
+def test_default_fit_reports_why_it_stopped():
+    config = MapFitConfig()
+    _, reports = fit(gaussian_ensemble(200, dim=3), [[], [0], [0, 1]], config)
+    for report in reports:
+        assert report.stop_reason in ("objective", "cap")
+        if report.stop_reason == "cap":
+            assert report.outer_iters == config.max_outer
+
+
 def test_fixed_fit_scores_its_start():
     """adapt=False takes no outer step: the reports hold the start log-lambdas
-    and the AICc that outer_objective gives there."""
+    and the AICc that outer_objective gives there, and no outer gradient
+    norm."""
     ens = gaussian_ensemble(100)
     config = MapFitConfig(adapt=False, init_log_lambda=1.5, monotone_log_lambda=4.0)
     tri, reports = fit(ens, [[], [0]], config)
     Z = (ens.data - tri.center) / tri.scale
     for j, report in enumerate(reports):
         start = np.array([1.5] * j + [4.0])
-        assert report.outer_iters == 0
+        assert (report.outer_iters, report.stop_reason) == (0, "fixed")
+        assert np.isnan(report.grad_norm)
         assert np.array_equal(report.log_lambdas, start)
         cache, _ = tmap._component_design(Z, j, [[], [0]][j], config)
         assert report.aicc == outer_objective(cache, start)[0]
