@@ -15,6 +15,9 @@ are half-open, [t_s, t_{s+1}), except that the last real knot belongs to
 the last nonempty span. Each nonzero entry is formed from the same two
 products, summed in the same order, as in the full-width recursion over
 every basis function, so the tables are identical to it bit for bit.
+
+``PiecewisePolynomial`` holds a fitted expansion ``eval(x) @ coef`` in
+piecewise polynomial form for repeated reading.
 """
 
 import logging
@@ -29,6 +32,7 @@ __all__ = [
     "KnotVector",
     "SplineBasis",
     "PenaltyMatrix",
+    "PiecewisePolynomial",
     "make_knots",
     "make_penalty",
 ]
@@ -261,6 +265,91 @@ class SplineBasis:
         if d == 0:
             return 0.5 * (tp[:-1] + tp[1:])
         return np.array([tp[i + 1 : i + d + 1].mean() for i in range(self.num_basis)])
+
+
+class PiecewisePolynomial:
+    """The expansion ``basis.eval(x) @ coef`` in per-span power form.
+
+    Converted once (de Boor, *A Practical Guide to Splines*, ch. VII), it
+    is read by a binary search and Horner steps on n-vectors instead of
+    an n x num_basis table.
+
+    Span i of the real knots, [t_i, t_{i+1}) with width h_i, holds a
+    polynomial in u = (x - t_i) / h_i: its constant term is the B-form
+    value at t_i, and the others integrate the slope polynomial, which
+    interpolates the derivative of the B-form at the degree midpoints
+    (j + 1/2) / degree of the span. Interpolating the slope rather than
+    the value keeps the slope accurate relative to its own size on a short
+    span whose value is large. Each affine tail is one more piece, with
+    u = x - t_edge, the B-form's boundary value and its slope in increment
+    form (exactly 0 where the two end coefficients are equal). Spans
+    are half-open like the basis's; x at or beyond the last real knot is
+    on the right tail, whose value there is the B-form's.
+
+    Parameters
+    ----------
+    basis : SplineBasis
+    coef : array_like
+        One coefficient per basis function.
+    """
+
+    def __init__(self, basis, coef):
+        coef = np.asarray(coef, dtype=float)
+        d = basis.degree
+        real = basis.knots.real
+        h = np.diff(real)
+        inv_h = 1.0 / h
+        # slopes in increment form, sum_j W_j(x) (c_j - c_{j-1}): a tail slope is
+        # one such product, exactly 0 when its two coefficients are equal
+        increments = np.diff(coef, prepend=0.0)
+        self.ends = (real[0], real[-1])
+        self.end_values = (basis._val_first @ coef, basis._val_last @ coef)
+        self.end_slopes = tuple(basis.eval_deriv_increments(np.array(self.ends))
+                                @ increments)
+        # piece e serves searchsorted(real, x, "right") == e: 0 is the left
+        # tail, 1..K-1 the spans, K the right tail
+        self._breaks = real
+        self._origin = np.concatenate([real[:1], real])
+        self._inv_h = np.concatenate([[1.0], inv_h, [1.0]])
+        self._value = np.zeros((d + 1, real.size + 1))
+        self._value[0] = np.concatenate([[self.end_values[0]],
+                                         basis.eval(real[:-1]) @ coef,
+                                         [self.end_values[1]]])
+        # degree 0: one zero row, so the slope is 0 without a branch
+        self._slope = np.zeros((max(d, 1), real.size + 1))
+        if d == 0:
+            return
+        at = real[:-1] + (np.arange(d)[:, None] + 0.5) / d * h
+        # interpolate at the local coordinates __call__ computes for these
+        # nodes, not at the nominal ones: on a short span far from 0 the
+        # rounding of t_i + u*h is a large error in u
+        u = ((at - real[:-1]) * inv_h).T
+        slopes = (basis.eval_deriv_increments(at.ravel()) @ increments).reshape(d, h.size).T
+        power = np.linalg.solve(u[:, :, None] ** np.arange(d), slopes[:, :, None])
+        self._slope[:, 1:-1] = power[:, :, 0].T
+        self._slope[0, [0, -1]] = self.end_slopes
+        self._value[1:] = self._slope / np.arange(1, d + 1)[:, None] / self._inv_h
+
+    def __call__(self, x, slope=False):
+        """Value at the 1-d array ``x``, and the slope too if ``slope``.
+
+        No finiteness check: a NaN in x gives NaN, so callers check their input.
+        """
+        e = np.searchsorted(self._breaks, x, "right")
+        u = (x - self._origin.take(e)) * self._inv_h.take(e)
+        value = _horner(self._value, e, u)
+        if not slope:
+            return value
+        return value, _horner(self._slope, e, u)
+
+
+def _horner(table, e, u):
+    """sum_k table[k, e] * u**k, by Horner's rule."""
+    out = table[-1].take(e)
+    for row in table[-2::-1]:
+        out *= u
+        out += row.take(e)
+    return out
 
 
 class PenaltyMatrix:

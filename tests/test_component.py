@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from pstransport import component
 from pstransport.component import MapComponent, NotInvertibleError
-from pstransport.splines import KnotVector, SplineBasis
+from pstransport.splines import KnotVector, PiecewisePolynomial, SplineBasis
 
 
 def make_component(raw=None):
@@ -141,6 +141,68 @@ def test_invert_many_next_to_zero_increment():
     z = np.linspace(-2.0722, -2.0712, 11)
     xs = comp.invert_many(np.zeros((z.size, 1)), z)
     assert np.max(np.abs(comp.eval_many(xs[:, None]) - z)) < 1e-9
+
+
+def test_invert_many_retires_rows_as_they_converge(monkeypatch):
+    """4000 rows over a flat stretch, a steep one next to a zero increment and
+    both tails: rows meet the stop test at different iterations, each
+    iteration evaluates only the rows still open, and every row meets the
+    residual contract."""
+    non = SplineBasis(KnotVector(np.linspace(-2, 2, 6), 3))
+    mon = SplineBasis(KnotVector(np.linspace(-3, 1, 12), 3))
+    raw = np.array([-5, 0.1, 0.3, 0.4, 0.2, 0.5, 0.7, 0, 2.7, 1.2, 1.1, 1e3, 0, 0.3])
+    comp = MapComponent([0], 1, [non], mon, np.linspace(-1, 1, non.num_basis), raw)
+    rng = np.random.default_rng(17)
+    rows = np.column_stack([rng.uniform(-3, 3, 4000), rng.uniform(-4, 2, 4000)])
+    z = comp.eval_many(rows)
+    z[:100] = comp.parent_term_many(rows[:100]) + rng.uniform(-2.0722, -2.0712, 100)
+    sizes = []
+    evaluate = PiecewisePolynomial.__call__
+
+    def counted(pp, x, slope=False):
+        if pp is comp._mon:
+            sizes.append(x.size)
+        return evaluate(pp, x, slope)
+
+    monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
+    x = comp.invert_many(rows, z)
+    newton = sizes[:-1]
+    assert sizes[-1] == 4000
+    assert all(a >= b for a, b in zip(newton, newton[1:]))
+    assert len(set(newton)) > 3
+    resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
+    assert np.all(resid <= residual_contract(comp, x, z))
+
+
+def test_ddx_is_the_increment_form_bit_for_bit():
+    comp = make_component(np.array([-1.0, 0.5, 0.0, 0.0, 2.0, 0.25, 0.0, 0.5]))
+    kn = comp.mon_basis.knots
+    x = np.concatenate([np.linspace(-5, 5, 1001), kn.real, np.nextafter(kn.real, np.inf)])
+    want = comp.mon_basis.eval_deriv_increments(x) @ comp.beta_mon_raw
+    assert np.array_equal(comp.ddx(x), want)
+    assert np.all(want >= 0) and np.any(want == 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    comp = make_component()
+    rows = np.random.default_rng(8).uniform(-1, 1, (5, 2))
+    z = comp.eval_many(rows)
+    broken = rows.copy()
+    broken[3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite parent coordinate: member 3"):
+        comp.invert_many(broken, z)
+    with pytest.raises(ValueError, match="non-finite coordinate: member 3"):
+        comp.eval_many(broken)
+    broken = rows.copy()
+    broken[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate: member 2"):
+        comp.eval_many(broken)
+    # the own coordinate is the unknown: whatever it holds is ignored
+    assert np.array_equal(comp.invert_many(broken, z), comp.invert_many(rows, z))
+    z[1] = bad
+    with pytest.raises(ValueError, match="non-finite target: member 1"):
+        comp.invert_many(rows, z)
 
 
 # -- property tests on the batch path ----------------------------------------

@@ -7,6 +7,7 @@ from pstransport.splines import (
     DegenerateDimensionError,
     KnotVector,
     PenaltyMatrix,
+    PiecewisePolynomial,
     SplineBasis,
     make_knots,
     make_penalty,
@@ -218,6 +219,77 @@ def test_local_evaluation_matches_full_recursion(degree, spacing):
             assert np.array_equal(got, want), (name, num_real)
             for xi in x[::3]:
                 assert np.array_equal(getattr(local, name)(xi), getattr(dense, name)(xi))
+
+
+@st.composite
+def expansions(draw):
+    """A basis of degree 0-4 on uniform or random real knots, and coefficients."""
+    degree = draw(st.integers(0, 4))
+    num_real = draw(st.integers(2, 12))
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-2, 1e2))
+    if draw(st.booleans()):
+        gaps = np.ones(num_real - 1)
+    else:
+        gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=num_real - 1,
+                                      max_size=num_real - 1)))
+    real = lo + width * np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    basis = SplineBasis(KnotVector(real, degree))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    # no subnormal coefficients: they carry too few digits for a relative test
+    entry = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+    coef = scale * np.array(draw(st.lists(entry, min_size=basis.num_basis,
+                                          max_size=basis.num_basis)))
+    return basis, coef
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansions())
+def test_piecewise_polynomial_matches_basis(case):
+    """Value and slope of the pp form equal ``eval(x) @ coef`` and
+    ``eval_deriv(x) @ coef`` at every knot and next to it, inside the spans
+    and in both tails, to 1e-12 relative to max|coef|, scaled by the size of
+    the table row that each B-form sum runs over: sum_j |N_j(x)| for the
+    value (1 inside the knots, growing in the tails) and sum_j W_j(x) of the
+    increment form for the slope (about degree / span width)."""
+    basis, coef = case
+    real = basis.knots.real
+    width = real[-1] - real[0]
+    inside = real[:-1] + np.array([0.1, 0.37, 0.5, 0.83])[:, None] * np.diff(real)
+    x = np.concatenate([
+        real, np.nextafter(real, -np.inf), np.nextafter(real, np.inf), inside.ravel(),
+        real[0] - width * np.array([1e-3, 0.5, 3.0]),
+        real[-1] + width * np.array([1e-3, 0.5, 3.0]),
+    ])
+    value, slope = PiecewisePolynomial(basis, coef)(x, slope=True)
+    size = np.max(np.abs(coef))
+    value_tol = 1e-12 * size * np.maximum(1.0, np.abs(basis.eval(x)).sum(axis=1))
+    slope_tol = 1e-12 * size * np.maximum(1.0, basis.eval_deriv_increments(x).sum(axis=1))
+    assert np.all(np.abs(value - basis.eval(x) @ coef) <= value_tol)
+    assert np.all(np.abs(slope - basis.eval_deriv(x) @ coef) <= slope_tol)
+    assert np.array_equal(PiecewisePolynomial(basis, coef)(x), value)
+
+
+def test_piecewise_polynomial_tails_are_affine_and_exactly_flat():
+    """The tails continue the boundary value with the boundary slope, and a
+    tail whose two end coefficients are equal has slope exactly 0."""
+    basis = SplineBasis(KnotVector(np.linspace(-2.0, 2.0, 7), 3))
+    coef = np.cumsum(np.r_[-1.3, 0.0, np.full(basis.num_basis - 3, 0.4), 0.0])
+    pp = PiecewisePolynomial(basis, coef)
+    assert pp.end_slopes == (0.0, 0.0)
+    # x at the last real knot is on the right tail; at the first, inside
+    x = np.array([-1e6, -3.0, 2.0, 3.0, 1e6])
+    value, slope = pp(x, slope=True)
+    assert np.array_equal(value, np.repeat(pp.end_values, [2, 3]))
+    assert np.all(slope == 0.0)
+    steep = PiecewisePolynomial(basis, np.arange(basis.num_basis) ** 2.0)
+    value, slope = steep(x, slope=True)
+    lo, hi = steep.end_slopes
+    assert lo > 0 and hi > 0
+    assert np.array_equal(slope, [lo, lo, hi, hi, hi])
+    assert value[1] == steep.end_values[0] - lo
+    assert value[2] == steep.end_values[1]
+    assert value[3] == steep.end_values[1] + hi
 
 
 def test_penalty_null_space():
