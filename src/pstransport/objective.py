@@ -141,6 +141,8 @@ class DesignCache:
         self.mon_gram_raw = T.T @ self.mon_gram @ T
         self.ridge_raw = RIDGE * (T.T @ T)
         self.num_blocks = len(self.block_sizes) + 1
+        beta = mon_basis.greville()
+        self._start_raw = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
         self._ops_key, self._ops = None, None
         self._hess_key, self._hess = None, None
 
@@ -163,11 +165,7 @@ class DesignCache:
 
     def default_raw(self):
         """Feasible start: the identity-like monotone fit (Greville coefficients)."""
-        beta = self.mon_basis.greville()
-        raw = np.empty_like(beta)
-        raw[0] = beta[0]
-        raw[1:] = np.maximum(np.diff(beta), 1e-8)
-        return raw
+        return self._start_raw.copy()
 
     # -- reduced (profiled) objective --------------------------------------
 
@@ -206,17 +204,15 @@ class FitReport:
     """Diagnostics of one adapted component fit.
 
     ``stop_reason`` says why ``adapt_lambdas`` stopped: ``"gradient"`` (outer
-    gradient norm at most ``OUTER_TOL_GRAD``), ``"objective"`` (an accepted
-    step gained at most ``OUTER_TOL_OBJ``), ``"cap"`` (``max_outer`` steps
-    taken), ``"line_search"`` (no acceptable step) or ``"fixed"`` (no block
-    adapted); it is empty in a report of ``outer_objective`` alone.
+    gradient norm at most ``OUTER_TOL_GRAD``), ``"objective"`` (the last
+    accepted step gained at most ``OUTER_TOL_OBJ``), ``"cap"`` (``max_outer``
+    steps accepted), ``"line_search"`` (no acceptable step) or ``"fixed"``
+    (no block adapted). ``outer_iters`` counts accepted steps.
 
-    ``grad_norm`` is the outer log-lambda gradient norm where
-    ``adapt_lambdas`` last took it, NaN when it took none (``"fixed"``, or
-    ``max_outer=0``). After ``"cap"`` and ``"objective"`` that is the point
-    before the returned ``log_lambdas``, so the norm is one step stale. In a
-    report of ``outer_objective`` alone it is the inner solve's projected
-    gradient norm."""
+    ``grad_norm`` is the norm of the adapted blocks' outer log-lambda
+    gradient at the returned ``log_lambdas``, NaN when no block adapts.
+    ``inner_grad_norm`` is the projected gradient norm of the inner solve
+    there, and ``converged`` says whether that solve met its tolerance."""
 
     nll: float
     edf: float
@@ -226,6 +222,7 @@ class FitReport:
     outer_iters: int = 0
     converged: bool = True
     grad_norm: float = np.nan
+    inner_grad_norm: float = np.nan
     edf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n: int = 0
     raw_basis: int = 0
@@ -442,7 +439,7 @@ def outer_objective(cache, log_lambdas, r0=None):
     report = FitReport(
         nll=nll_value, edf=total, aicc=aicc,
         log_lambdas=np.array(log_lambdas, dtype=float),
-        inner_iters=iters, converged=conv, grad_norm=pg,
+        inner_iters=iters, converged=conv, inner_grad_norm=pg,
         edf_blocks=blocks, n=cache.n, raw_basis=cache.m + cache.p,
     )
     return aicc, report, r_hat
@@ -492,53 +489,50 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     """Descend the AICc outer objective over log smoothing parameters.
 
     Starts at ``log_lambdas0``; ``adapt_mask`` selects which blocks move
-    (the fixed-monotone regime freezes the last block) and at most
-    ``max_outer`` steps are taken. With no block selected the start is
-    scored once and returned. Returns (log_lambdas, report, r_hat).
+    and at most ``max_outer`` steps are accepted. With no block selected
+    the start is scored once and returned. Each pass takes the masked
+    outer gradient at the current point, the one it would return, and
+    stops there on the gradient, objective or cap test, in that order.
+    Returns (log_lambdas, report, r_hat).
     """
     logl = np.array(log_lambdas0, dtype=float)
     mask = np.asarray(adapt_mask, dtype=bool)
     value, report, r_hat = outer_objective(cache, logl)
-    outer_it = 0
-    grad_norm = np.nan
-    stop = "fixed"
-    if mask.any():
-        alpha = 1.0
-        for outer_it in range(1, max_outer + 1):
-            grad = outer_gradient(cache, logl, r_hat=r_hat)
-            grad = np.where(mask, grad, 0.0)
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= OUTER_TOL_GRAD:
-                stop = "gradient"
-                break
-            direction = -grad
-            # trust-region cap: at most one log-lambda unit per outer step,
-            # so descent cannot tunnel across an AICc barrier into the
-            # degenerate small-lambda valley that exists for nearly
-            # collinear parents
-            alpha = min(max(alpha * 2.0, 1e-3), 1.0 / max(np.abs(direction).max(), 1e-12))
-            for _ in range(30):
-                trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
-                try:
-                    v_new, rep_new, r_new = outer_objective(cache, trial, r0=r_hat)
-                except (BarrierViolationError, ModelTooComplexError,
-                        np.linalg.LinAlgError):
-                    alpha *= 0.5
-                    continue
-                if v_new <= value - 1e-4 * alpha * grad_norm ** 2:
-                    break
-                alpha *= 0.5
-            else:
-                stop = "line_search"
-                break
-            delta = value - v_new
-            logl, value, report, r_hat = trial, v_new, rep_new, r_new
-            if delta <= OUTER_TOL_OBJ:
-                stop = "objective"
-                break
-        else:
+    stop, grad_norm = "fixed", np.nan
+    steps, gain, alpha = 0, np.inf, 1.0
+    while mask.any():
+        grad = np.where(mask, outer_gradient(cache, logl, r_hat=r_hat), 0.0)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= OUTER_TOL_GRAD:
+            stop = "gradient"
+            break
+        if gain <= OUTER_TOL_OBJ:
+            stop = "objective"
+            break
+        if steps >= max_outer:
             stop = "cap"
-    report.outer_iters = outer_it
+            break
+        # trust-region cap: at most one log-lambda unit per outer step,
+        # so descent cannot tunnel across an AICc barrier into the
+        # degenerate small-lambda valley that exists for nearly
+        # collinear parents
+        alpha = min(max(alpha * 2.0, 1e-3), 1.0 / max(np.abs(grad).max(), 1e-12))
+        for _ in range(30):
+            trial = np.clip(logl - alpha * grad, *LOG_LAMBDA_BOUNDS)
+            try:
+                v_new, rep_new, r_new = outer_objective(cache, trial, r0=r_hat)
+            except (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgError):
+                v_new = np.inf   # fails the Armijo test: halve the step
+            if v_new <= value - 1e-4 * alpha * grad_norm ** 2:
+                break
+            alpha *= 0.5
+        else:
+            stop = "line_search"
+            break
+        gain = value - v_new
+        logl, value, report, r_hat = trial, v_new, rep_new, r_new
+        steps += 1
+    report.outer_iters = steps
     report.grad_norm = grad_norm
     report.stop_reason = stop
     return logl, report, r_hat

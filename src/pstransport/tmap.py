@@ -79,11 +79,18 @@ class MapFitConfig:
 
 @contextmanager
 def _component_context(label):
-    """Re-raise any error with its own type, its message prefixed by ``label``."""
+    """Re-raise any error with its own type, its message prefixed by ``label``;
+    an error whose type cannot be built from one message is re-raised as is."""
     try:
         yield
     except Exception as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
+        try:
+            labelled = type(exc)(f"{label}: {exc}")
+        except TypeError:
+            labelled = None
+        if labelled is None:
+            raise
+        raise labelled from exc
 
 
 def _validate_fit(parent_sets, dim, config):
@@ -118,6 +125,14 @@ class TriangularMap:
 
     def _std(self, x):
         return (np.asarray(x, dtype=float) - self.center) / self.scale
+
+    def _observed_std(self, x_a_star):
+        """Standardized block-a values; one value per block-a variable."""
+        split = self.block_split
+        x_a_star = np.asarray(x_a_star, dtype=float)
+        if x_a_star.size != split:
+            raise ValueError(f"x_a_star must have length {split}")
+        return (x_a_star - self.center[:split]) / self.scale[:split]
 
     def _component(self, j):
         comp = self.components[j]
@@ -181,12 +196,10 @@ class TriangularMap:
         """
         members = np.asarray(members, dtype=float)
         split = self.block_split
-        x_a_star = np.asarray(x_a_star, dtype=float)
-        if x_a_star.size != split:
-            raise ValueError(f"x_a_star must have length {split}")
+        za = self._observed_std(x_a_star)
         Z = (members - self.center) / self.scale
         zb = [self._component(j).eval_many(Z) for j in range(split, self.dim)]
-        Z[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
+        Z[:, :split] = za
         return self._invert_from(Z, zb, split) * self.scale + self.center
 
     def sample_conditional(self, x_a_star, num, seed=None):
@@ -194,10 +207,10 @@ class TriangularMap:
         rng = np.random.default_rng(seed)
         split = self.block_split
         nb = self.dim - split
-        x_a_star = np.asarray(x_a_star, dtype=float)
+        za = self._observed_std(x_a_star)
         z = rng.standard_normal((num, nb))
         rows_std = np.empty((num, self.dim))
-        rows_std[:, :split] = (x_a_star - self.center[:split]) / self.scale[:split]
+        rows_std[:, :split] = za
         self._invert_from(rows_std, z.T, split)
         return rows_std[:, split:] * self.scale[split:] + self.center[split:]
 

@@ -113,7 +113,7 @@ def profile_lambda(config=None):
             continue
         if not report.converged:
             logger.warning("log lambda %g: inner solve unconverged, projected gradient %.3g",
-                           logl, report.grad_norm)
+                           logl, report.inner_grad_norm)
         table[i, 1:] = [report.nll, report.edf, aicc]
         fits[float(logl)] = (logls, r_hat)
 

@@ -43,6 +43,13 @@ def feasible_raw(cache, seed=0):
     return r
 
 
+def test_default_raw_is_a_fresh_copy(cache):
+    start = cache.default_raw()
+    want = start.copy()
+    start[:] = -1.0
+    assert np.array_equal(cache.default_raw(), want)
+
+
 def test_nll_barrier(cache):
     r = feasible_raw(cache)
     r[1:] = 0.0
@@ -364,6 +371,45 @@ def test_capped_search_reports_cap_and_its_norm(cache):
     _, report, _ = adapt_lambdas(cache, np.full(2, 2.0), np.ones(2, bool), 1)
     assert (report.stop_reason, report.outer_iters) == ("cap", 1)
     assert np.isfinite(report.grad_norm)
+
+
+@pytest.mark.parametrize("mask", [[True, True], [True, False]])
+@pytest.mark.parametrize("max_outer", [0, 1, 3, 50])
+def test_report_describes_the_returned_point(cache, monkeypatch, mask, max_outer):
+    """grad_norm is the masked outer gradient norm at the returned log-lambdas,
+    and outer_iters counts accepted steps: the search takes one outer
+    gradient per accepted step and one at the point it returns."""
+    calls = []
+    gradient = objective.outer_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "outer_gradient", counted)
+    mask = np.array(mask)
+    logl, report, r_hat = adapt_lambdas(cache, np.full(2, 2.0), mask, max_outer)
+    assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, logl, r_hat), 0))
+    assert report.outer_iters == len(calls) - 1
+    assert np.array_equal(calls[-1], logl)
+    assert report.stop_reason in ("gradient", "objective", "cap")
+    if report.stop_reason == "cap":
+        assert report.outer_iters == max_outer
+
+
+def test_unsearched_fits_report_cap_or_fixed(cache, monkeypatch):
+    """max_outer=0 scores the start and its gradient ("cap"); with no block
+    adapted no outer gradient is taken ("fixed", NaN norm). Both report the
+    inner solve's projected gradient norm apart from the outer one."""
+    start = np.full(2, 2.0)
+    _, capped, _ = adapt_lambdas(cache, start, np.ones(2, bool), 0)
+    assert (capped.stop_reason, capped.outer_iters) == ("cap", 0)
+    assert np.isfinite(capped.grad_norm)
+    monkeypatch.setattr(objective, "outer_gradient", None)   # must not be called
+    _, fixed, _ = adapt_lambdas(cache, start, np.zeros(2, bool), 50)
+    assert (fixed.stop_reason, fixed.outer_iters) == ("fixed", 0)
+    assert np.isnan(fixed.grad_norm)
+    assert fixed.inner_grad_norm == capped.inner_grad_norm == fit_inner(cache, start)[3]
 
 
 def test_adapt_mask_keeps_monotone_fixed(cache):

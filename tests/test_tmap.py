@@ -4,6 +4,11 @@ from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:   # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
 from pstransport import tmap
 from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.objective import BarrierViolationError, ModelTooComplexError, \
@@ -221,6 +226,18 @@ def test_sample_conditional_reproducible(fitted):
     assert np.array_equal(a, b)
 
 
+def test_conditioning_checks_the_observed_block_size():
+    """Both conditioning methods take exactly one value per block-a variable."""
+    config = MapFitConfig(block_split=2, fit_upper=False, max_outer=2)
+    ens = gaussian_ensemble(100, dim=3)
+    tri, _ = fit(ens, [[], [0], [0, 1]], config)
+    with pytest.raises(ValueError, match="x_a_star must have length 2"):
+        tri.conditional_update(ens.data, np.array([0.5]))
+    with pytest.raises(ValueError, match="x_a_star must have length 2"):
+        tri.sample_conditional(np.array([0.5]), 10, seed=0)
+    assert tri.sample_conditional(np.array([0.5, 0.5]), 10, seed=0).shape == (10, 1)
+
+
 def test_save_load_round_trip(tmp_path, fitted):
     ens, tri, _ = fitted
     path = tmp_path / "map.json"
@@ -268,6 +285,20 @@ def test_fit_failure_keeps_its_type(monkeypatch, error):
         fit(Ensemble(gaussian_ensemble(60).data, ["a", "b"]), [[], [0]])
     assert type(info.value) is error
     assert isinstance(info.value.__cause__, error)
+
+
+def test_fit_failure_keeps_an_error_not_built_from_a_message(monkeypatch):
+    """numpy's allocation error takes a shape and a dtype, not a message, so
+    the fit re-raises it as it is."""
+    error = _ArrayMemoryError((10 ** 12,), np.dtype(float))
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tmap, "DesignCache", failing)
+    with pytest.raises(MemoryError) as info:
+        fit(gaussian_ensemble(60), [[], [0]])
+    assert info.value is error
 
 
 def test_too_complex_fit_keeps_its_type():
