@@ -1,16 +1,20 @@
 """Command-line entry point.
 
-Three subcommands share the flags --config/--out/--seed-offset/--threads:
+Each subcommand takes --config and --out, and only the flags it reads:
 
   fit       fit a triangular map to an ensemble table and save it
-  wavy      run the bivariate smoothing-profile study
-  lorenz63  run twin-experiment filter comparisons
+            keys: ensemble, parent_sets and the scalar MapFitConfig
+            fields but adapt (max_outer 0 fits at the start log-lambdas)
+  wavy      run the bivariate smoothing-profile study; --seed-offset
+            keys: the WavyConfig fields but generator
+  lorenz63  run twin-experiment filter comparisons; --seed-offset, --threads
+            keys: methods, n_grid, seeds, max_outer and the Lorenz63Params fields
 
-Configs are JSON objects keyed by dataclass fields; unknown keys and
-values of the wrong type are rejected. Output tables are tab-separated
-text with a provenance header (config hash + seed). Exit codes: 0
-success, 2 config error, 3 compute error. Set PSTRANSPORT_LOG to a level
-name (e.g. DEBUG) for verbose logging.
+Configs are JSON objects; unknown keys and values of the wrong type or
+range are rejected. Output tables are tab-separated text with a
+provenance header (config hash, and the seed where one is drawn). Exit
+codes: 0 success, 2 config error, 3 compute error. Set PSTRANSPORT_LOG to
+a level name (e.g. DEBUG) for verbose logging.
 """
 
 import argparse
@@ -24,7 +28,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .lorenz63 import Lorenz63Params, run_filter
+from .lorenz63 import METHODS, MIN_MEMBERS, Lorenz63Params, run_filter
 from .tmap import Ensemble, MapFitConfig, _validate_fit, fit
 from .wavy import WavyConfig, profile_lambda
 
@@ -122,11 +126,11 @@ def _config_from(cls, doc, **parsers):
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_fit(config_path, out_dir, seed_offset, threads):
-    keys = ["ensemble", "parent_sets", "seed", *_keys(MapFitConfig, "init_log_lambdas")]
+def cmd_fit(config_path, out_dir):
+    # max_outer 0 fits at the start log-lambdas, so the library's adapt is no key
+    keys = ["ensemble", "parent_sets", *_keys(MapFitConfig, "adapt", "init_log_lambdas")]
     doc = _load_config(config_path, keys, required=("ensemble", "parent_sets"))
     cfg = _config_from(MapFitConfig, doc)
-    seed = _typed("seed", doc.get("seed", 0), int) + seed_offset
     ensemble = _read_ensemble_table(_typed("ensemble", doc["ensemble"], str))
     try:
         _validate_fit(doc["parent_sets"], ensemble.dim, cfg)
@@ -144,7 +148,7 @@ def cmd_fit(config_path, out_dir, seed_offset, threads):
                      int(r.converged), r.outer_iters])
     _write_table(
         os.path.join(out_dir, "fit_report.tsv"),
-        [f"config_hash={chash} seed={seed}"],
+        [f"config_hash={chash}"],
         ["component", "nll", "edf", "aicc", "log_lambdas", "converged",
          "outer_iters"],
         rows,
@@ -166,7 +170,7 @@ def _parse_grid(spec):
     raise ConfigError("grid must be a list of values or {start, stop, num}")
 
 
-def cmd_wavy(config_path, out_dir, seed_offset, threads):
+def cmd_wavy(config_path, out_dir, seed_offset):
     doc = _load_config(config_path, _keys(WavyConfig, "generator"))
     wcfg = _config_from(WavyConfig, doc, grid=_parse_grid)
     wcfg.seed += seed_offset
@@ -197,13 +201,15 @@ def _one_l63_run(args):
 
 
 def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
-    model = _keys(Lorenz63Params, "sigma", "beta", "rho")   # the classical chaotic regime
-    doc = _load_config(config_path, ["methods", "n_grid", "seeds", "max_outer", *model])
-    methods = _typed("methods", doc.get("methods", ["transport", "linear-baseline"]), list)
-    if any(m not in ("transport", "linear-baseline") for m in methods):
-        raise ConfigError("methods must be transport and/or linear-baseline")
+    doc = _load_config(config_path, ["methods", "n_grid", "seeds", "max_outer",
+                                     *_keys(Lorenz63Params)])
+    methods = _typed("methods", doc.get("methods", list(METHODS)), list)
+    if any(m not in METHODS for m in methods):
+        raise ConfigError(f"methods must be among {', '.join(METHODS)}")
     n_grid = [_typed("n_grid", n, int)
               for n in _typed("n_grid", doc.get("n_grid", [50, 250, 1000]), list)]
+    if any(n < MIN_MEMBERS for n in n_grid):
+        raise ConfigError(f"n_grid values must be at least {MIN_MEMBERS}")
     seeds = [_typed("seeds", s, int) + seed_offset
              for s in _typed("seeds", doc.get("seeds", list(range(10))), list)]
     params = _config_from(Lorenz63Params, doc)
@@ -214,6 +220,7 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
 
     jobs = [(params, n, seed, method, fit_cfg)
             for method in methods for n in n_grid for seed in seeds]
+    threads = threads if threads > 0 else (os.cpu_count() or 1)
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_one_l63_run, jobs))
@@ -253,12 +260,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed-offset", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker processes of lorenz63 (fit and wavy ignore it); "
-                            "1 guarantees bit-reproducible output, 0 picks the CPU count")
+        p.add_argument("--config", dest="config_path", required=True, help="JSON config file")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+        if name != "fit":
+            p.add_argument("--seed-offset", type=int, default=0,
+                           help="added to every seed of the config")
+        if name == "lorenz63":
+            p.add_argument("--threads", type=int, default=0,
+                           help="worker processes; 1 guarantees bit-reproducible output, "
+                                "0 picks the CPU count")
     return parser
 
 
@@ -267,16 +277,15 @@ def main(argv=None):
         level=os.environ.get("PSTRANSPORT_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = build_parser().parse_args(argv)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    args = vars(build_parser().parse_args(argv))
+    command = _COMMANDS[args.pop("command")]
     try:
-        os.makedirs(args.out, exist_ok=True)
+        os.makedirs(args["out_dir"], exist_ok=True)
     except OSError as exc:
         logger.error("cannot create output directory: %s", exc)
         return 2
     try:
-        return _COMMANDS[args.command](args.config, args.out, args.seed_offset,
-                                       threads)
+        return command(**args)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .objective import BarrierViolationError
 from .splines import DegenerateDimensionError
-from .tmap import Ensemble, MapFitConfig, fit
+from .tmap import Ensemble, MapFitConfig, _check_ranges, fit
 
 logger = logging.getLogger(__name__)
 
@@ -24,15 +24,17 @@ __all__ = ["Lorenz63Params", "FilterRunResult", "lorenz_rhs", "rk4_step",
            "run_filter", "linear_baseline_update"]
 
 DIVERGENCE_RMSE = 100.0
+METHODS = ("transport", "linear-baseline")
+MIN_MEMBERS = 16
+
+# model constants of the classical chaotic regime
+SIGMA, BETA, RHO = 10.0, 8.0 / 3.0, 28.0
 
 
 @dataclass
 class Lorenz63Params:
-    """Model and experiment settings (classical chaotic regime)."""
+    """Integration and experiment settings."""
 
-    sigma: float = 10.0
-    beta: float = 8.0 / 3.0
-    rho: float = 28.0
     dt: float = 0.05
     obs_interval: float = 0.1
     obs_sigma: float = 0.25
@@ -40,12 +42,12 @@ class Lorenz63Params:
     spinup: int = 250
 
     def __post_init__(self):
-        if min(self.sigma, self.beta, self.rho, self.dt, self.obs_interval,
-               self.obs_sigma) <= 0:
+        if min(self.dt, self.obs_interval, self.obs_sigma) <= 0:
             raise ValueError("all parameters must be positive")
         ratio = self.obs_interval / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("obs_interval must be an integer multiple of dt")
+        _check_ranges(self, steps=(0, np.inf), spinup=(0, np.inf))
 
     @property
     def substeps(self):
@@ -66,14 +68,10 @@ class FilterRunResult:
     steps_completed: int = 0
 
 
-def lorenz_rhs(state, params):
+def lorenz_rhs(state):
     """Right-hand side of the Lorenz-63 equations."""
     a, b, c = state[..., 0], state[..., 1], state[..., 2]
-    return np.stack([
-        params.sigma * (b - a),
-        a * (params.rho - c) - b,
-        a * b - params.beta * c,
-    ], axis=-1)
+    return np.stack([SIGMA * (b - a), a * (RHO - c) - b, a * b - BETA * c], axis=-1)
 
 
 def rk4_step(state, params, dt=None):
@@ -82,10 +80,10 @@ def rk4_step(state, params, dt=None):
     if np.any(np.isnan(state)):
         raise FloatingPointError("NaN state: trajectory diverged")
     h = params.dt if dt is None else dt
-    k1 = lorenz_rhs(state, params)
-    k2 = lorenz_rhs(state + 0.5 * h * k1, params)
-    k3 = lorenz_rhs(state + 0.5 * h * k2, params)
-    k4 = lorenz_rhs(state + h * k3, params)
+    k1 = lorenz_rhs(state)
+    k2 = lorenz_rhs(state + 0.5 * h * k1)
+    k3 = lorenz_rhs(state + 0.5 * h * k2)
+    k4 = lorenz_rhs(state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -150,9 +148,9 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
     ``method`` is "transport" or "linear-baseline". Map fit failures are
     recorded as divergence; the run still returns a result.
     """
-    if n_ensemble < 16:
-        raise ValueError("need at least 16 ensemble members")
-    if method not in ("transport", "linear-baseline"):
+    if n_ensemble < MIN_MEMBERS:
+        raise ValueError(f"need at least {MIN_MEMBERS} ensemble members")
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     fit_config = fit_config or MapFitConfig(max_outer=10)
     rng = np.random.default_rng(seed)

@@ -206,8 +206,9 @@ class FitReport:
     ``stop_reason`` says why ``adapt_lambdas`` stopped: ``"gradient"`` (outer
     gradient norm at most ``OUTER_TOL_GRAD``), ``"objective"`` (the last
     accepted step gained at most ``OUTER_TOL_OBJ``), ``"cap"`` (``max_outer``
-    steps accepted), ``"line_search"`` (no acceptable step) or ``"fixed"``
-    (no block adapted). ``outer_iters`` counts accepted steps.
+    steps accepted), ``"line_search"`` (no acceptable step moves the
+    log-lambdas) or ``"fixed"`` (no block adapted). ``outer_iters`` counts
+    accepted steps.
 
     ``grad_norm`` is the norm of the adapted blocks' outer log-lambda
     gradient at the returned ``log_lambdas``, NaN when no block adapts.
@@ -492,8 +493,9 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     and at most ``max_outer`` steps are accepted. With no block selected
     the start is scored once and returned. Each pass takes the masked
     outer gradient at the current point, the one it would return, and
-    stops there on the gradient, objective or cap test, in that order.
-    Returns (log_lambdas, report, r_hat).
+    stops there on the gradient, objective or cap test, in that order. A
+    trial step that rounds back to the current point ends the line search
+    unscored. Returns (log_lambdas, report, r_hat).
     """
     logl = np.array(log_lambdas0, dtype=float)
     mask = np.asarray(adapt_mask, dtype=bool)
@@ -517,16 +519,20 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
         # degenerate small-lambda valley that exists for nearly
         # collinear parents
         alpha = min(max(alpha * 2.0, 1e-3), 1.0 / max(np.abs(grad).max(), 1e-12))
+        accepted = False
         for _ in range(30):
             trial = np.clip(logl - alpha * grad, *LOG_LAMBDA_BOUNDS)
+            if np.array_equal(trial, logl):
+                break   # the step is below the rounding of log-lambda
             try:
                 v_new, rep_new, r_new = outer_objective(cache, trial, r0=r_hat)
             except (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgError):
                 v_new = np.inf   # fails the Armijo test: halve the step
-            if v_new <= value - 1e-4 * alpha * grad_norm ** 2:
+            accepted = v_new <= value - 1e-4 * alpha * grad_norm ** 2
+            if accepted:
                 break
             alpha *= 0.5
-        else:
+        if not accepted:
             stop = "line_search"
             break
         gain = value - v_new

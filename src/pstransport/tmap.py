@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .component import MapComponent
-from .objective import DesignCache, FitReport, adapt_lambdas, solve_non_closed_form
+from .objective import LOG_LAMBDA_BOUNDS, DesignCache, FitReport, adapt_lambdas, \
+    solve_non_closed_form
 from .splines import DegenerateDimensionError, KnotVector, SplineBasis, make_knots
 
 logger = logging.getLogger(__name__)
@@ -62,11 +63,19 @@ def permute_ensemble(ensemble, order):
     return Ensemble(ensemble.data[:, order], [ensemble.names[j] for j in order])
 
 
+def _check_ranges(config, **bounds):
+    """Raise ValueError naming the first field of ``config`` in ``bounds``
+    whose value lies outside its closed (low, high) range; None passes."""
+    for name, (low, high) in bounds.items():
+        value = getattr(config, name)
+        if value is not None and not low <= value <= high:
+            raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
+
+
 @dataclass
 class MapFitConfig:
     """Settings for fitting a triangular map."""
 
-    degree: int = 3
     num_real_knots: int = None          # override the cube-root knot rule
     adapt: bool = True
     monotone_log_lambda: float = None   # a value fixes the monotone block there
@@ -75,6 +84,11 @@ class MapFitConfig:
     block_split: int = 0                # variables below this index form block a
     fit_upper: bool = True              # also fit block-a components
     init_log_lambdas: list = field(default_factory=list, repr=False)  # warm starts
+
+    def __post_init__(self):
+        _check_ranges(self, num_real_knots=(2, np.inf), max_outer=(0, np.inf),
+                      block_split=(0, np.inf), init_log_lambda=LOG_LAMBDA_BOUNDS,
+                      monotone_log_lambda=LOG_LAMBDA_BOUNDS)
 
 
 @contextmanager
@@ -94,11 +108,9 @@ def _component_context(label):
 
 
 def _validate_fit(parent_sets, dim, config):
-    """Reject parent sets and settings that no fit of ``dim`` variables honours."""
-    if not 0 <= config.block_split <= dim:
-        raise ValueError(f"block_split must lie in [0, {dim}], not {config.block_split}")
-    if config.max_outer < 0:
-        raise ValueError(f"max_outer must be nonnegative, not {config.max_outer}")
+    """Reject parent sets and a block split that no fit of ``dim`` variables
+    honours; ``MapFitConfig`` checks its own ranges."""
+    _check_ranges(config, block_split=(0, dim))
     if len(parent_sets) != dim:
         raise ValueError(f"one parent set per variable required ({dim})")
     for j, parents in enumerate(parent_sets):
@@ -319,11 +331,11 @@ def _component_design(Z, j, parents, config):
 
     Constant parents are dropped with a warning.
     """
-    mon_basis = SplineBasis(make_knots(Z[:, j], config.degree, config.num_real_knots))
+    mon_basis = SplineBasis(make_knots(Z[:, j], num_real_knots=config.num_real_knots))
     non_bases, kept_parents = [], []
     for p in parents:
         try:
-            kv = make_knots(Z[:, p], config.degree, config.num_real_knots)
+            kv = make_knots(Z[:, p], num_real_knots=config.num_real_knots)
         except DegenerateDimensionError:
             logger.warning("dropping constant parent %d of component %d", p, j)
             continue

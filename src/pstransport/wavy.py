@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .objective import BarrierViolationError, ModelTooComplexError, outer_objective
-from .tmap import Ensemble, MapFitConfig, TriangularMap, _component_design, \
+from .objective import LOG_LAMBDA_BOUNDS, BarrierViolationError, ModelTooComplexError, \
+    outer_objective
+from .tmap import Ensemble, MapFitConfig, TriangularMap, _check_ranges, _component_design, \
     _component_from_fit, _fit_design, fit
 
 logger = logging.getLogger(__name__)
@@ -53,8 +54,8 @@ class WavyConfig:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        if self.n < 8:
-            raise ValueError("need n >= 8")
+        _check_ranges(self, n=(8, np.inf), num_real_knots=(2, np.inf),
+                      num_pullback=(0, np.inf), fixed_monotone_log_lambda=LOG_LAMBDA_BOUNDS)
         if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly ascending")
 

@@ -38,7 +38,7 @@ def test_fit_roundtrip(tmp_path, gaussian_table):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]]})
     out = tmp_path / "out"
-    assert run(["fit", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    assert run(["fit", "--config", cfg, "--out", out]) == 0
     tri = TriangularMap.load(out / "map.json")
     tri2 = TriangularMap.load(out / "map.json")
     rng = np.random.default_rng(1)
@@ -47,20 +47,21 @@ def test_fit_roundtrip(tmp_path, gaussian_table):
         assert np.array_equal(tri.pushforward(x), tri2.pushforward(x))
     report = (out / "fit_report.tsv").read_text()
     assert report.startswith("# config_hash=")
+    assert "seed" not in report.splitlines()[0]
 
 
 def test_fit_config_keys_reach_outputs(tmp_path, gaussian_table):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]],
-                      "degree": 2, "num_real_knots": 5, "max_outer": 1})
+                      "num_real_knots": 5, "max_outer": 1})
     out = tmp_path / "out"
-    assert run(["fit", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    assert run(["fit", "--config", cfg, "--out", out]) == 0
     doc = json.loads((out / "map.json").read_text())
     for comp in doc["components"]:
-        assert comp["degree"] == 2
+        assert comp["degree"] == 3
         assert len(comp["mon_knots"]) == 5
         assert all(len(k) == 5 for k in comp["non_knots"])
-        assert len(comp["beta_mon_raw"]) == 6  # real knots + degree - 1
+        assert len(comp["beta_mon_raw"]) == 7  # real knots + degree - 1
     rows = [line.split("\t") for line in (out / "fit_report.tsv").read_text().splitlines()
             if not line.startswith(("#", "component"))]
     assert len(rows) == 2
@@ -72,7 +73,7 @@ def test_monotone_log_lambda_key_fixes_the_monotone_block(tmp_path, gaussian_tab
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]],
                       "monotone_log_lambda": 7})
     out = tmp_path / "out"
-    assert run(["fit", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    assert run(["fit", "--config", cfg, "--out", out]) == 0
     rows = [line.split("\t") for line in (out / "fit_report.tsv").read_text().splitlines()
             if not line.startswith(("#", "component"))]
     assert [row[4].split(";")[-1] for row in rows] == ["7.0", "7.0"]
@@ -90,6 +91,28 @@ def test_unknown_keys_rejected(tmp_path, gaussian_table):
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]],
                       "surprise": 1})
     assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("extra", [{"adapt": False}, {"seed": 0}, {"degree": 3}])
+def test_fit_takes_no_adapt_seed_or_degree_key(tmp_path, gaussian_table, monkeypatch,
+                                               extra):
+    """adapt (max_outer 0 fits at the start), seed (the fit draws no random
+    number) and degree (fits are cubic) are unknown keys, rejected before any
+    work."""
+    calls = capture(monkeypatch, "fit")
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]], **extra})
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert not calls
+
+
+@pytest.mark.parametrize("command, flag", [("fit", "--threads"), ("fit", "--seed-offset"),
+                                           ("wavy", "--threads")])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, flag):
+    cfg = write_json(tmp_path / "c.json", {})
+    with pytest.raises(SystemExit) as info:
+        run([command, "--config", cfg, "--out", tmp_path / "o", flag, 1])
+    assert info.value.code == 2
 
 
 def test_triangularity_violation_rejected(tmp_path, gaussian_table):
@@ -129,7 +152,7 @@ def test_wavy_outputs(tmp_path):
                      {"n": 30, "num_real_knots": 20,
                       "grid": {"start": -6, "stop": 8, "num": 8}})
     out = tmp_path / "wout"
-    assert run(["wavy", "--config", cfg, "--out", out, "--threads", 1]) == 0
+    assert run(["wavy", "--config", cfg, "--out", out]) == 0
     profile = np.loadtxt(out / "profile.tsv", skiprows=2)
     assert profile.shape == (8, 4)
     clouds = sorted(out.glob("pushforward_logl_*.tsv"))
@@ -201,7 +224,7 @@ def capture(monkeypatch, name):
 def test_empty_wavy_config_takes_dataclass_defaults(tmp_path, monkeypatch):
     calls = capture(monkeypatch, "profile_lambda")
     cfg = write_json(tmp_path / "w.json", {})
-    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o"]) == 3
     (got,), _ = calls[0]
     want = WavyConfig()
     for name in ("n", "num_real_knots", "fixed_monotone_log_lambda", "seed",
@@ -213,8 +236,7 @@ def test_empty_wavy_config_takes_dataclass_defaults(tmp_path, monkeypatch):
 def test_partial_wavy_grid_takes_default_ends(tmp_path, monkeypatch):
     calls = capture(monkeypatch, "profile_lambda")
     cfg = write_json(tmp_path / "w.json", {"grid": {"num": 5}, "seed": 2})
-    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--threads", 1,
-                "--seed-offset", 3]) == 3
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", 3]) == 3
     (got,), _ = calls[0]
     default = WavyConfig().grid
     assert np.array_equal(got.grid, np.linspace(default[0], default[-1], 5))
@@ -238,11 +260,11 @@ def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, stubbed, doc", [
-    ("fit", "fit", {"adapt": "false"}),
+    ("fit", "fit", {"fit_upper": "false"}),
     ("fit", "fit", {"max_outer": 2.5}),
-    ("fit", "fit", {"degree": "3"}),
+    ("fit", "fit", {"num_real_knots": "3"}),
     ("fit", "fit", {"monotone_log_lambda": True}),
-    ("fit", "fit", {"seed": 1.5}),
+    ("fit", "fit", {"init_log_lambda": "1.5"}),
     ("wavy", "profile_lambda", {"n": 30.9}),
     ("wavy", "profile_lambda", {"num_real_knots": None}),
     ("wavy", "profile_lambda", {"grid": {"num": 5.5}}),
@@ -262,11 +284,35 @@ def test_mistyped_values_are_config_errors(tmp_path, gaussian_table, monkeypatch
                                            command, stubbed, doc):
     """A value that does not match its field's type or range exits with 2
     before any work."""
+    assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)
+
+
+@pytest.mark.parametrize("command, stubbed, doc", [
+    ("fit", "fit", {"num_real_knots": 0}),
+    ("fit", "fit", {"num_real_knots": 1}),
+    ("fit", "fit", {"init_log_lambda": 1e6}),
+    ("fit", "fit", {"monotone_log_lambda": 1e6}),
+    ("wavy", "profile_lambda", {"num_pullback": -1}),
+    ("wavy", "profile_lambda", {"num_real_knots": 1}),
+    ("lorenz63", "run_filter", {"n_grid": [8]}),
+    ("lorenz63", "run_filter", {"steps": -1}),
+    ("lorenz63", "run_filter", {"max_outer": -1}),
+    ("lorenz63", "run_filter", {"spinup": -5}),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, gaussian_table, monkeypatch,
+                                               command, stubbed, doc):
+    """Each config rejects its own range when it is built: too few knots,
+    ensemble members, steps or draws, and start log-lambdas outside the
+    bounds of the search, exit with 2 before any work."""
+    assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)
+
+
+def assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc):
     calls = capture(monkeypatch, stubbed)
     if command == "fit":
         doc = {"ensemble": gaussian_table, "parent_sets": [[], [0]], **doc}
     cfg = write_json(tmp_path / "c.json", doc)
-    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 2
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert not calls
 
 
@@ -292,13 +338,13 @@ def test_typed_values_are_converted(tmp_path, gaussian_table, monkeypatch):
 
 
 def test_every_scalar_fit_field_reaches_fit(tmp_path, gaussian_table, monkeypatch):
-    """The fit keys are the scalar MapFitConfig fields; a config that sets each
-    of them to a non-default value reaches fit as exactly that config."""
+    """The fit keys are the scalar MapFitConfig fields but adapt; a config that
+    sets each of them to a non-default value reaches fit as exactly that
+    config."""
     calls = capture(monkeypatch, "fit")
-    values = {"degree": 2, "num_real_knots": 7, "adapt": False,
-              "monotone_log_lambda": 7.5, "init_log_lambda": -1.0, "max_outer": 4,
-              "block_split": 1, "fit_upper": False}
-    assert set(values) == {f.name for f in fields(MapFitConfig)} - {"init_log_lambdas"}
+    values = {"num_real_knots": 7, "monotone_log_lambda": 7.5, "init_log_lambda": -1.0,
+              "max_outer": 4, "block_split": 1, "fit_upper": False}
+    assert set(values) == {f.name for f in fields(MapFitConfig)} - {"adapt", "init_log_lambdas"}
     want = MapFitConfig(**values)
     assert all(getattr(want, k) != getattr(MapFitConfig(), k) for k in values)
     cfg = write_json(tmp_path / "c.json",
@@ -307,3 +353,19 @@ def test_every_scalar_fit_field_reaches_fit(tmp_path, gaussian_table, monkeypatc
     (_, parent_sets, got), _ = calls[0]
     assert parent_sets == [[], [0]]
     assert got == want
+
+
+def test_every_lorenz_key_reaches_run_filter(tmp_path, monkeypatch):
+    """The lorenz63 keys are every Lorenz63Params field plus methods, n_grid,
+    seeds and max_outer; each reaches run_filter."""
+    calls = capture(monkeypatch, "run_filter")
+    model = {"dt": 0.01, "obs_interval": 0.05, "obs_sigma": 0.5, "steps": 3, "spinup": 7}
+    assert set(model) == {f.name for f in fields(Lorenz63Params)}
+    assert all(getattr(Lorenz63Params(**model), k) != getattr(Lorenz63Params(), k)
+               for k in model)
+    cfg = write_json(tmp_path / "l.json", {"methods": ["linear-baseline"], "n_grid": [20],
+                                           "seeds": [4], "max_outer": 2, **model})
+    assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    (params, n, seed), kwargs = calls[0]
+    assert (params, n, seed) == (Lorenz63Params(**model), 20, 4)
+    assert kwargs == {"method": "linear-baseline", "fit_config": MapFitConfig(max_outer=2)}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pstransport import lorenz63, objective
+from pstransport import lorenz63, objective, tmap
 from pstransport.lorenz63 import (
     Lorenz63Params,
     ensemble_rmse,
@@ -24,10 +24,10 @@ def test_params_validation():
 
 
 def test_rhs_fixed_point_and_reference_value():
-    p = Lorenz63Params()
-    assert np.allclose(lorenz_rhs(np.zeros(3), p), 0.0)
+    """The classical constants sigma=10, rho=28, beta=8/3."""
+    assert np.allclose(lorenz_rhs(np.zeros(3)), 0.0)
     # hand-computed value at (1, 1, 1)
-    assert np.allclose(lorenz_rhs(np.ones(3), p), [0.0, 26.0, 1.0 - 8.0 / 3.0])
+    assert np.allclose(lorenz_rhs(np.ones(3)), [0.0, 26.0, 1.0 - 8.0 / 3.0])
 
 
 def test_rk4_matches_high_accuracy_integrator():
@@ -36,7 +36,7 @@ def test_rk4_matches_high_accuracy_integrator():
     x = x0.copy()
     for _ in range(5):
         x = rk4_step(x, p)
-    ref = solve_ivp(lambda t, y: lorenz_rhs(y, p), (0, 5 * p.dt), x0,
+    ref = solve_ivp(lambda t, y: lorenz_rhs(y), (0, 5 * p.dt), x0,
                     rtol=1e-11, atol=1e-12).y[:, -1]
     assert np.max(np.abs(x - ref)) < 5e-3
 
@@ -44,7 +44,7 @@ def test_rk4_matches_high_accuracy_integrator():
 def test_rk4_convergence_order():
     p = Lorenz63Params()
     x0 = np.array([1.0, 2.0, 20.0])
-    ref = solve_ivp(lambda t, y: lorenz_rhs(y, p), (0, 0.1), x0,
+    ref = solve_ivp(lambda t, y: lorenz_rhs(y), (0, 0.1), x0,
                     rtol=1e-12, atol=1e-13).y[:, -1]
     errs = []
     for k in (1, 2, 4):
@@ -180,3 +180,31 @@ def test_inner_solves_converge_in_filter_runs(monkeypatch):
     assert len(results) > 1000
     assert all(converged and iters < objective.INNER_MAX_ITER
                for _, iters, converged, _ in results)
+
+
+def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
+    """A halved step that rounds back to the current log-lambdas ends the line
+    search as "line_search" instead of rescoring that point and accepting it.
+    In the seed-1 n=50 run the two-parent S4 fits of the last two cycles
+    stop there, and no search takes two outer gradients at one point."""
+    gradient, adapt = objective.outer_gradient, tmap.adapt_lambdas
+    paths, reports = [], []
+
+    def recorded_gradient(cache, log_lambdas, r_hat=None):
+        paths[-1].append(np.array(log_lambdas))
+        return gradient(cache, log_lambdas, r_hat=r_hat)
+
+    def recorded_adapt(*args):
+        paths.append([])
+        result = adapt(*args)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(objective, "outer_gradient", recorded_gradient)
+    monkeypatch.setattr(tmap, "adapt_lambdas", recorded_adapt)
+    run_filter(Lorenz63Params(steps=8), 50, seed=1)
+    assert len(reports) == 8 * 3 * 3   # cycles x observed variables x S2..S4
+    assert not any(np.array_equal(a, b) for path in paths for a, b in zip(path, path[1:]))
+    stops = [r.stop_reason for r in reports]
+    assert [k for k, stop in enumerate(stops) if stop == "line_search"] == \
+        [k for k in range(54, 72) if k % 3 == 2]

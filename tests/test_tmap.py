@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -74,12 +76,14 @@ def test_parent_indices_must_be_integers(parent):
 
 
 @pytest.mark.parametrize("dim, config", [
-    (2, MapFitConfig(block_split=-1, fit_upper=False)),
-    (3, MapFitConfig(block_split=5, fit_upper=False)),
-    (3, MapFitConfig(block_split=4)),
-    (2, MapFitConfig(max_outer=-3)),
+    (2, {"block_split": -1, "fit_upper": False}),
+    (3, {"block_split": 5, "fit_upper": False}),
+    (3, {"block_split": 4}),
+    (2, {"max_outer": -3}),
 ])
 def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
+    """A negative setting fails when the config is built, a block split past
+    the variables when the fit sees the data; both before any fit."""
     calls = []
     adapt = tmap.adapt_lambdas
 
@@ -88,8 +92,8 @@ def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
         return adapt(*args, **kwargs)
 
     monkeypatch.setattr(tmap, "adapt_lambdas", recorded)
-    with pytest.raises(ValueError, match="block_split must lie in|max_outer must be"):
-        fit(gaussian_ensemble(50, dim=dim), [[]] + [[0]] * (dim - 1), config)
+    with pytest.raises(ValueError, match="(block_split|max_outer) must lie in"):
+        fit(gaussian_ensemble(50, dim=dim), [[]] + [[0]] * (dim - 1), MapFitConfig(**config))
     assert not calls
 
 
@@ -247,6 +251,29 @@ def test_save_load_round_trip(tmp_path, fitted):
     for row in x:
         assert np.array_equal(tri.pushforward(row), tri2.pushforward(row))
     assert tri2.names == tri.names
+
+
+def test_saved_map_keeps_its_degree(tmp_path):
+    """Fits are cubic, but a map saved with another degree loads with it: a
+    quadratic map evaluates its splines as saved and inverts."""
+    knots = [-1.5, -0.5, 0.5, 1.5]   # degree 2: five basis functions
+    doc = {"format_version": 1, "dim": 2, "names": ["a", "b"], "block_split": 1,
+           "center": [0.5, -1.0], "scale": [2.0, 0.5], "components": [
+               {"parents": [], "own": 0, "non_knots": [], "mon_knots": knots,
+                "degree": 2, "beta_non": [], "beta_mon_raw": [-1.0, 0.4, 0.5, 0.6, 0.5],
+                "log_lambdas": None},
+               {"parents": [0], "own": 1, "non_knots": [knots], "mon_knots": knots,
+                "degree": 2, "beta_non": [0.3, -0.2, 0.1, 0.0, -0.1],
+                "beta_mon_raw": [-1.2, 0.5, 0.5, 0.7, 0.4], "log_lambdas": [1.0, 2.0]}]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    tri = TriangularMap.load(path)
+    assert tri.to_dict() == doc
+    x = np.random.default_rng(0).standard_normal((50, 2)) * [2.0, 0.5] + [0.5, -1.0]
+    basis = SplineBasis(KnotVector(np.array(knots), 2))
+    want = basis.eval((x[:, 0] - 0.5) / 2.0) @ np.cumsum(doc["components"][0]["beta_mon_raw"])
+    assert np.allclose(tri.pushforward(x)[:, 0], want, rtol=0, atol=1e-12)
+    assert np.max(np.abs(tri.inverse(tri.pushforward(x)) - x)) < 1e-7
 
 
 def test_load_rejects_unknown_version(tmp_path, fitted):
