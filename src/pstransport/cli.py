@@ -8,7 +8,7 @@ Each subcommand takes --config and --out, and only the flags it reads:
   wavy      run the bivariate smoothing-profile study; --seed-offset
             keys: the WavyConfig fields but generator
   lorenz63  run twin-experiment filter comparisons; --seed-offset, --threads
-            keys: methods, n_grid, seeds, max_outer and the Lorenz63Params fields
+            keys: methods, n_grid, seeds and the Lorenz63Params fields
 
 Configs are JSON objects; unknown keys and values of the wrong type or
 range are rejected. Output tables are tab-separated text with a
@@ -117,11 +117,10 @@ def _keys(cls, *skip):
 def _config_from(cls, doc, **parsers):
     """``cls`` built from the keys of ``doc`` that name its fields, each typed as
     its field or read by ``parsers[key]``; absent keys keep the defaults."""
-    kwargs = {f.name: parsers[f.name](doc[f.name]) if f.name in parsers
-              else _typed(f.name, doc[f.name], f.type, f.default is None)
-              for f in fields(cls) if f.name in doc}
     try:
-        return cls(**kwargs)
+        return cls(**{f.name: parsers[f.name](doc[f.name]) if f.name in parsers
+                      else _typed(f.name, doc[f.name], f.type, f.default is None)
+                      for f in fields(cls) if f.name in doc})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,8 +171,9 @@ def _parse_grid(spec):
 
 def cmd_wavy(config_path, out_dir, seed_offset):
     doc = _load_config(config_path, _keys(WavyConfig, "generator"))
-    wcfg = _config_from(WavyConfig, doc, grid=_parse_grid)
-    wcfg.seed += seed_offset
+    # the offset also shifts the default seed, and the shifted seed is range-checked
+    wcfg = _config_from(WavyConfig, {"seed": WavyConfig.seed, **doc}, grid=_parse_grid,
+                        seed=lambda seed: _typed("seed", seed, int) + seed_offset)
     chash = _config_hash(doc)
     header = [f"config_hash={chash} seed={wcfg.seed}"]
     res = profile_lambda(wcfg)
@@ -196,13 +196,12 @@ def cmd_wavy(config_path, out_dir, seed_offset):
 
 
 def _one_l63_run(args):
-    params, n, seed, method, fit_cfg = args
-    return run_filter(params, n, seed, method=method, fit_config=fit_cfg)
+    params, n, seed, method = args
+    return run_filter(params, n, seed, method=method)
 
 
 def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
-    doc = _load_config(config_path, ["methods", "n_grid", "seeds", "max_outer",
-                                     *_keys(Lorenz63Params)])
+    doc = _load_config(config_path, ["methods", "n_grid", "seeds", *_keys(Lorenz63Params)])
     methods = _typed("methods", doc.get("methods", list(METHODS)), list)
     if any(m not in METHODS for m in methods):
         raise ConfigError(f"methods must be among {', '.join(METHODS)}")
@@ -212,13 +211,12 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
         raise ConfigError(f"n_grid values must be at least {MIN_MEMBERS}")
     seeds = [_typed("seeds", s, int) + seed_offset
              for s in _typed("seeds", doc.get("seeds", list(range(10))), list)]
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds plus --seed-offset must be non-negative, not {seeds}")
     params = _config_from(Lorenz63Params, doc)
-    # without max_outer, run_filter picks its own fit settings
-    fit_cfg = _config_from(MapFitConfig, {"max_outer": doc["max_outer"]}) \
-        if "max_outer" in doc else None
     chash = _config_hash(doc)
 
-    jobs = [(params, n, seed, method, fit_cfg)
+    jobs = [(params, n, seed, method)
             for method in methods for n in n_grid for seed in seeds]
     threads = threads if threads > 0 else (os.cpu_count() or 1)
     if threads > 1:
@@ -228,7 +226,7 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
         results = [_one_l63_run(job) for job in jobs]
 
     summary_rows = []
-    for (params_, n, seed, method, _), r in zip(jobs, results):
+    for (_, n, seed, method), r in zip(jobs, results):
         header = [f"config_hash={chash} seed={seed}",
                   f"method={method} n={n} steps={params.steps}"]
         rows = [[k, r.rmse_series[k]] + list(r.edf_fractions[k])

@@ -10,7 +10,7 @@ observed state).
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ class Lorenz63Params:
     obs_sigma: float = 0.25
     steps: int = 1000
     spinup: int = 250
+    max_outer: int = 10   # outer smoothing steps per map component fit
 
     def __post_init__(self):
         if min(self.dt, self.obs_interval, self.obs_sigma) <= 0:
@@ -47,7 +48,7 @@ class Lorenz63Params:
         ratio = self.obs_interval / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("obs_interval must be an integer multiple of dt")
-        _check_ranges(self, steps=(0, np.inf), spinup=(0, np.inf))
+        _check_ranges(self, steps=(0, np.inf), spinup=(0, np.inf), max_outer=(0, np.inf))
 
     @property
     def substeps(self):
@@ -116,10 +117,11 @@ _STATE_ORDERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 _PARENT_SETS = [[], [0], [1], [1, 2]]
 
 
-def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
+def transport_update(members, y_obs, obs_sigma, obs_index, rng, max_outer,
                      warm_lambdas=None):
     """Assimilate a scalar observation of one state variable with a sparse map.
 
+    Each component fit accepts at most ``max_outer`` outer smoothing steps.
     Returns (updated members, FitReports of the three state components);
     the reports' log-lambdas warm-start the next update of this variable.
     """
@@ -128,8 +130,8 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
     y_pred = members[:, obs_index] + rng.normal(0.0, obs_sigma, size=n)
     joint = np.column_stack([y_pred, members[:, order[0]],
                              members[:, order[1]], members[:, order[2]]])
-    cfg = replace(
-        fit_config,
+    cfg = MapFitConfig(
+        max_outer=max_outer,
         block_split=1,
         fit_upper=False,
         init_log_lambdas=[None] + list(warm_lambdas or [None, None, None]),
@@ -142,7 +144,7 @@ def transport_update(members, y_obs, obs_sigma, obs_index, rng, fit_config,
     return out, reports[1:]
 
 
-def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
+def run_filter(params, n_ensemble, seed, method="transport"):
     """Run one twin experiment and collect RMSE and complexity diagnostics.
 
     ``method`` is "transport" or "linear-baseline". Map fit failures are
@@ -152,7 +154,6 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
         raise ValueError(f"need at least {MIN_MEMBERS} ensemble members")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    fit_config = fit_config or MapFitConfig(max_outer=10)
     rng = np.random.default_rng(seed)
 
     truth = rng.standard_normal(3)
@@ -177,7 +178,7 @@ def run_filter(params, n_ensemble, seed, method="transport", fit_config=None):
             for v in range(3):
                 if method == "transport":
                     members, reports = transport_update(
-                        members, y_all[v], params.obs_sigma, v, rng, fit_config, warm[v]
+                        members, y_all[v], params.obs_sigma, v, rng, params.max_outer, warm[v]
                     )
                     warm[v] = [r.log_lambdas for r in reports]
                     fractions.append([r.edf / r.raw_basis for r in reports])

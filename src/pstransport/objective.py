@@ -243,9 +243,7 @@ def _slopes(cache, beta_mon_raw):
 
 def nll(cache, beta_non, beta_mon_raw):
     """Sample-summed transport objective at the given coefficients."""
-    resid = cache.P_mon @ np.cumsum(beta_mon_raw)
-    if cache.m:
-        resid = resid + cache.P_non @ beta_non
+    resid = cache.P_mon @ np.cumsum(beta_mon_raw) + cache.P_non @ beta_non
     return 0.5 * float(resid @ resid) - float(np.sum(np.log(_slopes(cache, beta_mon_raw))))
 
 
@@ -298,9 +296,9 @@ def fit_inner(cache, log_lambdas, r0=None):
     if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
     s, Hr, grad, hess = _newton_state(cache, H, r)
+    converged, pg_norm, pinned = _stationarity(r, grad, Hr)
     it = 0
     for it in range(1, INNER_MAX_ITER + 1):
-        converged, _, pinned = _stationarity(r, grad, Hr)
         if converged:
             break
         if pinned.any():
@@ -333,21 +331,35 @@ def fit_inner(cache, log_lambdas, r0=None):
             break   # no acceptable step: leave unconverged
         r = cand
         s, Hr, grad, hess = _newton_state(cache, H, r)
-    converged, pg_norm, _ = _stationarity(r, grad, Hr)
+        converged, pg_norm, pinned = _stationarity(r, grad, Hr)
     return r, it, converged, pg_norm
 
 
 # -- effective degrees of freedom and outer objective -----------------------
 
 
-def _joint_hessian(cache, r_hat, lambdas):
-    """Unpenalized Hessian Hu and penalty Pen over (beta_non, free raw coords).
+def _factored_hessian(cache, r_hat, log_lambdas):
+    """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
 
-    Increments pinned at zero are left out. Also returns the smoothing
-    blocks as (slice, unit-lambda penalty) pairs, parents first and
-    monotone last, the free mask, the free columns of ``W`` and the
-    monotone derivative at every sample.
+    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)``: the unpenalized
+    Hessian Hu and the penalty Pen over (beta_non, free raw coords), with
+    increments pinned at zero left out; the smoothing blocks as (slice,
+    unit-lambda penalty) pairs, parents first and monotone last; the free
+    mask, the free columns of ``W`` and the monotone derivative at every
+    sample; and per block the Cholesky factor of the diagonal block of
+    Hu + Pen with Hp_b^-1 Hu_b. Each block is taken with the other blocks'
+    coefficients held fixed; this keeps the lambda -> infinity limit at the
+    penalty null-space dimension per block even though the additive level
+    is shared. The state of the last (log_lambdas, r_hat) asked for is kept
+    on the cache (exact match) and is read-only, so ``edf`` in
+    ``outer_objective`` and the ``outer_gradient`` that follows at the
+    accepted point assemble and factor once.
     """
+    log_lambdas = np.asarray(log_lambdas, dtype=float)
+    key = np.concatenate([log_lambdas, r_hat])
+    if np.array_equal(key, cache._hess_key):
+        return cache._hess
+    lambdas = np.exp(log_lambdas)
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
     ff = np.ix_(free, free)
@@ -366,28 +378,6 @@ def _joint_hessian(cache, r_hat, lambdas):
     Pen[m:, m:] = cache.s_mon_raw(lambdas)[ff]
     blocks = list(zip(cache.non_slices, cache.non_grams))
     blocks.append((slice(m, k), cache.mon_gram_raw[ff]))
-    return Hu, Pen, blocks, free, Wf, s
-
-
-def _factored_hessian(cache, r_hat, log_lambdas):
-    """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
-
-    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)``: the first six as
-    built by ``_joint_hessian``, and per block the Cholesky factor of the
-    diagonal block of Hu + Pen with Hp_b^-1 Hu_b. Each block is taken with
-    the other blocks' coefficients held fixed; this keeps the lambda ->
-    infinity limit at the penalty null-space dimension per block even
-    though the additive level is shared. The state of the last
-    (log_lambdas, r_hat) asked for is kept on the cache (exact match) and
-    is read-only, so ``edf`` in ``outer_objective`` and the
-    ``outer_gradient`` that follows at the accepted point assemble and
-    factor once.
-    """
-    log_lambdas = np.asarray(log_lambdas, dtype=float)
-    key = np.concatenate([log_lambdas, r_hat])
-    if np.array_equal(key, cache._hess_key):
-        return cache._hess
-    Hu, Pen, blocks, free, Wf, s = _joint_hessian(cache, r_hat, np.exp(log_lambdas))
     factors = []
     for sl, _ in blocks:
         try:
@@ -457,7 +447,8 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
     _, D, lambdas = cache.profile_operators(log_lambdas)
     Hu, Pen, blocks, free, Wf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
-    penprime = _aicc_penalty_deriv(edf(cache, r_hat, log_lambdas), cache.n)
+    # edf from the factors in hand, summed in edf's order
+    penprime = _aicc_penalty_deriv(sum(float(np.trace(W)) for _, W in factors), cache.n)
     beta = np.concatenate([-D @ r_hat, r_hat[free]])
     # unpenalized gradient at the optimum: minus the penalty gradient
     gL = -Pen @ beta

@@ -108,8 +108,9 @@ def _component_context(label):
 
 
 def _validate_fit(parent_sets, dim, config):
-    """Reject parent sets and a block split that no fit of ``dim`` variables
-    honours; ``MapFitConfig`` checks its own ranges."""
+    """Reject parent sets and a block split that no map of ``dim`` variables
+    honours: component j's parents are distinct integers below j. ``config``
+    is a ``MapFitConfig``, which checks its own ranges, or a loaded map."""
     _check_ranges(config, block_split=(0, dim))
     if len(parent_sets) != dim:
         raise ValueError(f"one parent set per variable required ({dim})")
@@ -119,6 +120,8 @@ def _validate_fit(parent_sets, dim, config):
                 raise ValueError(
                     f"component {j} lists parent {p!r}; parents must be integers below {j}"
                 )
+        if len(set(parents)) != len(parents):
+            raise ValueError(f"component {j} lists a parent twice: {list(parents)}")
 
 
 class TriangularMap:
@@ -257,13 +260,17 @@ class TriangularMap:
 
     @classmethod
     def from_dict(cls, doc):
+        """Map saved by ``to_dict``. Raises ValueError when the sizes, the block
+        split, a component's own variable or its parents do not fit together."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
         comps = []
-        for cd in doc["components"]:
+        for j, cd in enumerate(doc["components"]):
             if cd is None:
                 comps.append(None)
                 continue
+            if cd["own"] != j:
+                raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
             degree = cd["degree"]
             non_bases = [SplineBasis(KnotVector(np.array(k), degree))
                          for k in cd["non_knots"]]
@@ -273,8 +280,14 @@ class TriangularMap:
                 np.array(cd["beta_non"]), np.array(cd["beta_mon_raw"]),
                 None if cd["log_lambdas"] is None else np.array(cd["log_lambdas"]),
             ))
-        return cls(comps, np.array(doc["center"]), np.array(doc["scale"]),
-                   doc["names"], doc["block_split"])
+        tri = cls(comps, np.array(doc["center"]), np.array(doc["scale"]),
+                  doc["names"], doc["block_split"])
+        if not doc["dim"] == tri.dim == tri.scale.size == len(tri.names) == len(comps):
+            raise ValueError(f"saved map sizes disagree: dim {doc['dim']!r}, {tri.dim} centers, "
+                             f"{tri.scale.size} scales, {len(tri.names)} names, "
+                             f"{len(comps)} components")
+        _validate_fit([[] if c is None else c.parents for c in comps], tri.dim, tri)
+        return tri
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -12,14 +12,14 @@ oscillatory structure), not an external ground truth.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .objective import LOG_LAMBDA_BOUNDS, BarrierViolationError, ModelTooComplexError, \
     outer_objective
 from .tmap import Ensemble, MapFitConfig, TriangularMap, _check_ranges, _component_design, \
-    _component_from_fit, _fit_design, fit
+    _component_from_fit, fit
 
 logger = logging.getLogger(__name__)
 
@@ -54,10 +54,10 @@ class WavyConfig:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        _check_ranges(self, n=(8, np.inf), num_real_knots=(2, np.inf),
+        _check_ranges(self, n=(8, np.inf), num_real_knots=(2, np.inf), seed=(0, np.inf),
                       num_pullback=(0, np.inf), fixed_monotone_log_lambda=LOG_LAMBDA_BOUNDS)
-        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly ascending")
+        if self.grid.ndim != 1 or not self.grid.size or np.any(np.diff(self.grid) <= 0):
+            raise ValueError("grid must be non-empty and strictly ascending")
 
 
 @dataclass
@@ -84,22 +84,20 @@ def profile_lambda(config=None):
     Grid points whose fit fails numerically (``ModelTooComplexError``,
     ``BarrierViolationError`` or ``LinAlgError``) are recorded as NaN
     rows, rows whose inner solve did not converge are logged as warnings,
-    and any other exception propagates. Also runs the gradient-based
-    smoothing adaptation (same fixed monotone penalty) for comparison
-    with the grid argmin.
+    and any other exception propagates. The map fit adapts the same
+    parameter by gradient descent (same fixed monotone penalty) for
+    comparison with the grid argmin.
     """
     config = config or WavyConfig()
     ensemble = config.generator(config.n, config.seed)
-    # standardized coordinates of the full map fit (all smoothing parameters
-    # fixed) are shared by all grid points, so build the second-component
-    # design once
+    # the map fit fixes every monotone lambda and adapts S2's nonmonotone
+    # one (the gradient-based result); its standardized coordinates are
+    # shared by all grid points, so build the second-component design once
     map_config = MapFitConfig(
         num_real_knots=config.num_real_knots,
-        adapt=False,
         monotone_log_lambda=config.fixed_monotone_log_lambda,
-        init_log_lambda=0.0,
     )
-    tri0, _ = fit(ensemble, [[], [0]], map_config)
+    tri0, reports = fit(ensemble, [[], [0]], map_config)
     Zs = (ensemble.data - tri0.center) / tri0.scale
     cache, parents = _component_design(Zs, 1, [0], map_config)
 
@@ -123,8 +121,6 @@ def profile_lambda(config=None):
         raise RuntimeError("every grid point failed to fit")
     argmin = float(table[ok, 0][np.argmin(table[ok, 3])])
 
-    logl_ad, _, _ = _fit_design(cache, 1, replace(map_config, adapt=True, init_log_lambda=2.0))
-
     clouds = {}
     rng = np.random.default_rng(config.seed + 1)
     z_ref = rng.standard_normal((config.num_pullback, 2))
@@ -136,7 +132,7 @@ def profile_lambda(config=None):
         pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}
 
-    return ProfileResult(table, clouds, argmin, float(logl_ad[0]), ensemble)
+    return ProfileResult(table, clouds, argmin, float(reports[1].log_lambdas[0]), ensemble)
 
 
 def _representative(grid, argmin):

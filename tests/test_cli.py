@@ -121,7 +121,8 @@ def test_triangularity_violation_rejected(tmp_path, gaussian_table):
     assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
-@pytest.mark.parametrize("parent_sets", [[[], [0.5]], [[], 0], [[], ["0"]], 2, None])
+@pytest.mark.parametrize("parent_sets", [[[], [0.5]], [[], 0], [[], ["0"]], 2, None,
+                                         [[], [0, 0]]])
 def test_malformed_parent_sets_rejected(tmp_path, gaussian_table, monkeypatch, parent_sets):
     calls = capture(monkeypatch, "fit")
     cfg = write_json(tmp_path / "c.json",
@@ -250,13 +251,12 @@ def test_empty_lorenz_config_takes_dataclass_defaults(tmp_path, monkeypatch):
     (params, n, seed), kwargs = calls[0]
     assert params == Lorenz63Params()
     assert (n, seed) == (50, 0)
-    assert kwargs == {"method": "transport", "fit_config": None}
+    assert kwargs == {"method": "transport"}
 
     cfg = write_json(tmp_path / "l2.json", {"max_outer": 3, "steps": 7})
     assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
-    (params, _, _), kwargs = calls[1]
-    assert params == Lorenz63Params(steps=7)
-    assert kwargs["fit_config"] == MapFitConfig(max_outer=3)
+    (params, _, _), _ = calls[1]
+    assert params == Lorenz63Params(steps=7, max_outer=3)
 
 
 @pytest.mark.parametrize("command, stubbed, doc", [
@@ -307,6 +307,26 @@ def test_out_of_range_values_are_config_errors(tmp_path, gaussian_table, monkeyp
     assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)
 
 
+@pytest.mark.parametrize("command, stubbed, doc, offset", [
+    ("wavy", "profile_lambda", {"seed": -1}, 0),
+    ("wavy", "profile_lambda", {"seed": 2}, -3),
+    ("lorenz63", "run_filter", {"seeds": [-1]}, 0),
+    ("lorenz63", "run_filter", {}, -5),
+    ("wavy", "profile_lambda", {"grid": {"num": -1}}, 0),
+    ("wavy", "profile_lambda", {"grid": {"num": 0}}, 0),
+    ("wavy", "profile_lambda", {"grid": []}, 0),
+])
+def test_negative_seeds_and_empty_grids_are_config_errors(tmp_path, monkeypatch, command,
+                                                          stubbed, doc, offset):
+    """A seed that is negative after --seed-offset, and a grid with no point
+    or a negative count, exit with 2 before any work."""
+    calls = capture(monkeypatch, stubbed)
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o",
+                "--seed-offset", offset]) == 2
+    assert not calls
+
+
 def assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc):
     calls = capture(monkeypatch, stubbed)
     if command == "fit":
@@ -355,17 +375,39 @@ def test_every_scalar_fit_field_reaches_fit(tmp_path, gaussian_table, monkeypatc
     assert got == want
 
 
+LORENZ_KEYS = {"methods", "n_grid", "seeds",
+               "dt", "obs_interval", "obs_sigma", "steps", "spinup", "max_outer"}
+
+
 def test_every_lorenz_key_reaches_run_filter(tmp_path, monkeypatch):
-    """The lorenz63 keys are every Lorenz63Params field plus methods, n_grid,
-    seeds and max_outer; each reaches run_filter."""
+    """The lorenz63 keys are every Lorenz63Params field plus methods, n_grid
+    and seeds; each reaches run_filter."""
     calls = capture(monkeypatch, "run_filter")
-    model = {"dt": 0.01, "obs_interval": 0.05, "obs_sigma": 0.5, "steps": 3, "spinup": 7}
+    model = {"dt": 0.01, "obs_interval": 0.05, "obs_sigma": 0.5, "steps": 3, "spinup": 7,
+             "max_outer": 2}
     assert set(model) == {f.name for f in fields(Lorenz63Params)}
     assert all(getattr(Lorenz63Params(**model), k) != getattr(Lorenz63Params(), k)
                for k in model)
     cfg = write_json(tmp_path / "l.json", {"methods": ["linear-baseline"], "n_grid": [20],
-                                           "seeds": [4], "max_outer": 2, **model})
+                                           "seeds": [4], **model})
     assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
     (params, n, seed), kwargs = calls[0]
     assert (params, n, seed) == (Lorenz63Params(**model), 20, 4)
-    assert kwargs == {"method": "linear-baseline", "fit_config": MapFitConfig(max_outer=2)}
+    assert kwargs == {"method": "linear-baseline"}
+
+
+def test_lorenz_key_set(tmp_path, monkeypatch):
+    """Drift guard: the lorenz63 command accepts exactly the nine keys, so a
+    new Lorenz63Params field or a second declaration of one shows here."""
+    allowed = []
+    load = cli._load_config
+
+    def recorded(path, keys, required=()):
+        allowed.append(sorted(keys))
+        return load(path, keys, required)
+
+    monkeypatch.setattr(cli, "_load_config", recorded)
+    capture(monkeypatch, "run_filter")
+    cfg = write_json(tmp_path / "l.json", {})
+    assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", 1]) == 3
+    assert allowed == [sorted(LORENZ_KEYS)]

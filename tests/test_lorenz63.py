@@ -12,7 +12,6 @@ from pstransport.lorenz63 import (
     run_filter,
     transport_update,
 )
-from pstransport.tmap import MapFitConfig
 
 
 def test_params_validation():
@@ -92,9 +91,7 @@ def test_transport_update_moves_toward_observation():
         [0.0, 0.0, 0.0],
         [[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]], size=200
     )
-    upd, reports = transport_update(
-        members, 2.0, 0.25, 0, rng, MapFitConfig(max_outer=10)
-    )
+    upd, reports = transport_update(members, 2.0, 0.25, 0, rng, 10)
     assert upd.shape == members.shape
     assert upd[:, 0].mean() > members[:, 0].mean() + 0.5
     assert upd[:, 0].var() < members[:, 0].var()
@@ -104,14 +101,27 @@ def test_transport_update_moves_toward_observation():
     assert len(reports) == 3
 
 
-def test_transport_update_honours_fit_config():
-    rng = np.random.default_rng(3)
-    members = rng.standard_normal((100, 3))
-    _, reports = transport_update(
-        members, 0.5, 0.25, 0, rng, MapFitConfig(max_outer=2, num_real_knots=5)
-    )
-    # S2 over (y, x_obs): 5 real cubic knots give 7 functions per block
-    assert reports[0].raw_basis == 14
+def test_max_outer_reaches_every_component_fit(monkeypatch):
+    """Lorenz63Params.max_outer caps the outer search of every map component
+    the filter fits; the default is 10."""
+    adapt = tmap.adapt_lambdas
+    calls = []
+
+    def recorded(cache, log_lambdas0, adapt_mask, max_outer):
+        result = adapt(cache, log_lambdas0, adapt_mask, max_outer)
+        calls.append((max_outer, result[1].outer_iters))
+        return result
+
+    monkeypatch.setattr(tmap, "adapt_lambdas", recorded)
+    for params in (Lorenz63Params(steps=2, max_outer=2), Lorenz63Params(steps=2)):
+        calls.clear()
+        run_filter(params, 30, seed=0)
+        assert len(calls) == 2 * 3 * 3   # cycles x observed variables x S2..S4
+        assert {cap for cap, _ in calls} == {params.max_outer}
+        assert max(iters for _, iters in calls) == params.max_outer
+    assert Lorenz63Params().max_outer == 10
+    with pytest.raises(ValueError, match="max_outer"):
+        Lorenz63Params(max_outer=-1)
 
 
 def test_run_filter_validation():

@@ -279,37 +279,47 @@ def test_edf_blocks_match_explicit_formula():
     assert total == pytest.approx(sum(expected), rel=1e-9)
 
 
+def kept_states(monkeypatch):
+    """Record every Hessian state ``_factored_hessian`` hands out; a state
+    object not handed out before was assembled and factored by that call."""
+    build, states = objective._factored_hessian, []
+    monkeypatch.setattr(objective, "_factored_hessian",
+                        lambda *args: states.append(build(*args)) or states[-1])
+    return states
+
+
+def assembled(states):
+    """Number of distinct state objects in ``states``."""
+    return sum(all(st is not prev for prev in states[:i]) for i, st in enumerate(states))
+
+
 def test_hessian_state_kept_per_point(monkeypatch):
-    """outer_gradient reuses the Hessian that edf factored at the same
-    (lambda, r_hat), bit for bit, and recomputes at another r_hat."""
+    """outer_gradient reuses the Hessian state that edf factored at the same
+    (lambda, r_hat), bit for bit, and builds one new state at another r_hat."""
     logl = np.array([0.5, -1.0, 1.5])
     cache = two_parent_cache()
     _, _, r_hat = outer_objective(cache, logl)
     other = feasible_raw(cache, seed=4)
     want = outer_gradient(two_parent_cache(), logl, r_hat=r_hat)
     want_other = outer_gradient(two_parent_cache(), logl, r_hat=other)
-    calls = []
-    assemble = objective._joint_hessian
-    monkeypatch.setattr(objective, "_joint_hessian",
-                        lambda *args: calls.append(1) or assemble(*args))
+    kept = cache._hess
+    states = kept_states(monkeypatch)
     assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
-    assert not calls
-    for arr in objective._factored_hessian(cache, r_hat, logl)[:2]:
+    assert states and all(st is kept for st in states)
+    for arr in kept[:2]:
         assert not arr.flags.writeable
+    states.clear()
     assert np.array_equal(outer_gradient(cache, logl, r_hat=other), want_other)
-    assert len(calls) == 1
+    assert assembled(states) == 1 and states[0] is not kept
+    assert cache._hess is states[0]
     assert not np.array_equal(want_other, want)
 
 
 def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
-    counts = {"hessian": 0, "objective": 0, "gradient": 0, "in_gradient": 0}
-    assemble = objective._joint_hessian
+    counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
+    states = kept_states(monkeypatch)
     score = objective.outer_objective
     gradient = objective.outer_gradient
-
-    def counted_assemble(*args):
-        counts["hessian"] += 1
-        return assemble(*args)
 
     def counted_score(*args, **kwargs):
         counts["objective"] += 1
@@ -317,17 +327,16 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
 
     def counted_gradient(*args, **kwargs):
         counts["gradient"] += 1
-        before = counts["hessian"]
+        before = assembled(states)
         out = gradient(*args, **kwargs)
-        counts["in_gradient"] += counts["hessian"] - before
+        counts["in_gradient"] += assembled(states) - before
         return out
 
-    monkeypatch.setattr(objective, "_joint_hessian", counted_assemble)
     monkeypatch.setattr(objective, "outer_objective", counted_score)
     monkeypatch.setattr(objective, "outer_gradient", counted_gradient)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
-    assert counts["hessian"] == counts["objective"]
+    assert assembled(states) == counts["objective"]
     assert counts["in_gradient"] == 0
 
 

@@ -66,6 +66,9 @@ def test_parent_set_triangularity():
         fit(ens, [[1], []])
     with pytest.raises(ValueError):
         fit(ens, [[]])
+    # a repeated parent would enter the design, and its block's edf, twice
+    with pytest.raises(ValueError, match="component 2 lists a parent twice"):
+        fit(gaussian_ensemble(50, dim=3), [[], [0], [1, 1]])
 
 
 @pytest.mark.parametrize("parent", [0.5, 0.0, True, "0"])
@@ -274,6 +277,45 @@ def test_saved_map_keeps_its_degree(tmp_path):
     want = basis.eval((x[:, 0] - 0.5) / 2.0) @ np.cumsum(doc["components"][0]["beta_mon_raw"])
     assert np.allclose(tri.pushforward(x)[:, 0], want, rtol=0, atol=1e-12)
     assert np.max(np.abs(tri.inverse(tri.pushforward(x)) - x)) < 1e-7
+
+
+@pytest.fixture(scope="module")
+def saved_sparse_map():
+    ens = gaussian_ensemble(300, dim=3, seed=2)
+    return fit(ens, [[], [0], [0, 1]], MapFitConfig(max_outer=2))[0].to_dict()
+
+
+def set_at(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("components", 1, "parents"), [2], "parents must be integers below 1"),
+    (("components", 2, "parents"), [1, 1], "lists a parent twice"),
+    (("components", 2, "own"), 1, "own variable 1"),
+    (("dim",), 4, "sizes disagree"),
+    (("names",), ["a", "b"], "sizes disagree"),
+    (("block_split",), 4, "block_split must lie in"),
+])
+def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
+    """A saved map is outside input: its sizes, block split, own variables and
+    parents are checked when it is loaded, with the fit's parent rule."""
+    TriangularMap.from_dict(saved_sparse_map)
+    with pytest.raises(ValueError, match=match):
+        TriangularMap.from_dict(set_at(saved_sparse_map, path, value))
+
+
+def test_load_rejects_missing_components(saved_sparse_map):
+    doc = set_at(saved_sparse_map, ("components",), saved_sparse_map["components"][:2])
+    with pytest.raises(ValueError, match="2 components"):
+        TriangularMap.from_dict(doc)
 
 
 def test_load_rejects_unknown_version(tmp_path, fitted):

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from pstransport import objective, wavy
+from pstransport import objective, tmap, wavy
 from pstransport.objective import ModelTooComplexError
 from pstransport.wavy import WavyConfig, profile_lambda, sample_wavy
 
@@ -68,6 +68,25 @@ def test_profile_shape_properties(profile):
 
 def test_adapted_lambda_near_grid_argmin(profile):
     assert abs(profile.adapted_log_lambda - profile.argmin_log_lambda) <= 1.0
+
+
+def test_profile_adapts_once_through_the_map_fit(monkeypatch):
+    """The map fit is the one smoothing search: one adapt_lambdas call per
+    component, only S2's adapting, and adapted_log_lambda is what it returned."""
+    adapt = tmap.adapt_lambdas
+    calls = []
+
+    def recorded(cache, log_lambdas0, adapt_mask, max_outer):
+        result = adapt(cache, log_lambdas0, adapt_mask, max_outer)
+        calls.append((np.array(adapt_mask), result[0]))
+        return result
+
+    monkeypatch.setattr(tmap, "adapt_lambdas", recorded)
+    res = profile_lambda(WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10))
+    assert [mask.tolist() for mask, _ in calls] == [[False], [True, False]]
+    logl = calls[1][1]
+    assert logl[1] == WavyConfig().fixed_monotone_log_lambda
+    assert res.adapted_log_lambda == logl[0]
 
 
 def test_clouds_emitted_at_five_lambdas(profile):
