@@ -5,9 +5,9 @@ Each subcommand takes --config and --out, and only the flags it reads:
   fit       fit a triangular map to an ensemble table and save it
             keys: ensemble, parent_sets and the scalar MapFitConfig
             fields but adapt (max_outer 0 fits at the start log-lambdas)
-  wavy      run the bivariate smoothing-profile study; --seed-offset
+  wavy      run the bivariate smoothing-profile study
             keys: the WavyConfig fields but generator
-  lorenz63  run twin-experiment filter comparisons; --seed-offset, --threads
+  lorenz63  run twin-experiment filter comparisons; --threads
             keys: methods, n_grid, seeds and the Lorenz63Params fields
 
 Configs are JSON objects; unknown keys and values of the wrong type or
@@ -86,14 +86,11 @@ def _read_ensemble_table(path):
         raise ConfigError(f"cannot read ensemble table: {exc}") from exc
     if len(lines) < 2:
         raise ConfigError("ensemble table needs a header row and data rows")
-    names = lines[0].split()
     try:
         data = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric entry in ensemble table: {exc}") from exc
-    if data.shape[1] != len(names):
-        raise ConfigError("ensemble rows do not match the header width")
-    return Ensemble(data, names)
+        return Ensemble(data, lines[0].split())
+    except ValueError as exc:   # non-numeric or non-finite entries, too few rows, bad widths
+        raise ConfigError(f"ensemble table: {exc}") from exc
 
 
 def _typed(key, value, kind, nullable=False):
@@ -169,11 +166,9 @@ def _parse_grid(spec):
     raise ConfigError("grid must be a list of values or {start, stop, num}")
 
 
-def cmd_wavy(config_path, out_dir, seed_offset):
+def cmd_wavy(config_path, out_dir):
     doc = _load_config(config_path, _keys(WavyConfig, "generator"))
-    # the offset also shifts the default seed, and the shifted seed is range-checked
-    wcfg = _config_from(WavyConfig, {"seed": WavyConfig.seed, **doc}, grid=_parse_grid,
-                        seed=lambda seed: _typed("seed", seed, int) + seed_offset)
+    wcfg = _config_from(WavyConfig, doc, grid=_parse_grid)
     chash = _config_hash(doc)
     header = [f"config_hash={chash} seed={wcfg.seed}"]
     res = profile_lambda(wcfg)
@@ -200,7 +195,7 @@ def _one_l63_run(args):
     return run_filter(params, n, seed, method=method)
 
 
-def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
+def cmd_lorenz63(config_path, out_dir, threads):
     doc = _load_config(config_path, ["methods", "n_grid", "seeds", *_keys(Lorenz63Params)])
     methods = _typed("methods", doc.get("methods", list(METHODS)), list)
     if any(m not in METHODS for m in methods):
@@ -209,10 +204,10 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
               for n in _typed("n_grid", doc.get("n_grid", [50, 250, 1000]), list)]
     if any(n < MIN_MEMBERS for n in n_grid):
         raise ConfigError(f"n_grid values must be at least {MIN_MEMBERS}")
-    seeds = [_typed("seeds", s, int) + seed_offset
+    seeds = [_typed("seeds", s, int)
              for s in _typed("seeds", doc.get("seeds", list(range(10))), list)]
     if any(s < 0 for s in seeds):
-        raise ConfigError(f"seeds plus --seed-offset must be non-negative, not {seeds}")
+        raise ConfigError(f"seeds must be non-negative, not {seeds}")
     params = _config_from(Lorenz63Params, doc)
     chash = _config_hash(doc)
 
@@ -240,7 +235,7 @@ def cmd_lorenz63(config_path, out_dir, seed_offset, threads):
                              r.steps_completed])
     _write_table(
         os.path.join(out_dir, "summary.tsv"),
-        [f"config_hash={chash} seed_offset={seed_offset}"],
+        [f"config_hash={chash}"],
         ["method", "n", "seed", "mean_rmse", "diverged", "steps_completed"],
         summary_rows,
     )
@@ -260,9 +255,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", dest="config_path", required=True, help="JSON config file")
         p.add_argument("--out", dest="out_dir", required=True, help="output directory")
-        if name != "fit":
-            p.add_argument("--seed-offset", type=int, default=0,
-                           help="added to every seed of the config")
         if name == "lorenz63":
             p.add_argument("--threads", type=int, default=0,
                            help="worker processes; 1 guarantees bit-reproducible output, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import BarrierViolationError
+from .objective import FIT_FAILURES
 from .splines import DegenerateDimensionError
 from .tmap import Ensemble, MapFitConfig, _check_ranges, fit
 
@@ -75,12 +75,12 @@ def lorenz_rhs(state):
     return np.stack([SIGMA * (b - a), a * (RHO - c) - b, a * b - BETA * c], axis=-1)
 
 
-def rk4_step(state, params, dt=None):
-    """One classical fourth-order Runge-Kutta step; works on (..., 3) arrays."""
+def rk4_step(state, params):
+    """One classical fourth-order Runge-Kutta step of ``params.dt`` on (..., 3) arrays."""
     state = np.asarray(state, dtype=float)
     if np.any(np.isnan(state)):
         raise FloatingPointError("NaN state: trajectory diverged")
-    h = params.dt if dt is None else dt
+    h = params.dt
     k1 = lorenz_rhs(state)
     k2 = lorenz_rhs(state + 0.5 * h * k1)
     k3 = lorenz_rhs(state + 0.5 * h * k2)
@@ -94,11 +94,11 @@ def ensemble_rmse(members, truth):
     return float(np.mean(np.sqrt(np.mean(err ** 2, axis=1))))
 
 
-def linear_baseline_update(members, y_obs, obs_sigma, obs_index, rng):
-    """Stochastic EnKF update for a scalar observation of one state variable."""
+def linear_baseline_update(members, y_obs, y_pred, obs_index):
+    """Stochastic EnKF update for a scalar observation of one state variable;
+    ``y_pred`` holds the members' perturbed predictions of that observation."""
     members = np.asarray(members, dtype=float)
     n = members.shape[0]
-    y_pred = members[:, obs_index] + rng.normal(0.0, obs_sigma, size=n)
     var_y = np.var(y_pred, ddof=1)
     if var_y <= 0:
         if np.var(members[:, obs_index], ddof=1) == 0:
@@ -117,17 +117,16 @@ _STATE_ORDERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 _PARENT_SETS = [[], [0], [1], [1, 2]]
 
 
-def transport_update(members, y_obs, obs_sigma, obs_index, rng, max_outer,
-                     warm_lambdas=None):
+def transport_update(members, y_obs, y_pred, obs_index, max_outer, warm_lambdas=None):
     """Assimilate a scalar observation of one state variable with a sparse map.
 
-    Each component fit accepts at most ``max_outer`` outer smoothing steps.
+    ``y_pred`` holds the members' perturbed predictions of the observation,
+    the map's first variable. Each component fit accepts at most
+    ``max_outer`` outer smoothing steps.
     Returns (updated members, FitReports of the three state components);
     the reports' log-lambdas warm-start the next update of this variable.
     """
-    n = members.shape[0]
     order = _STATE_ORDERS[obs_index]
-    y_pred = members[:, obs_index] + rng.normal(0.0, obs_sigma, size=n)
     joint = np.column_stack([y_pred, members[:, order[0]],
                              members[:, order[1]], members[:, order[2]]])
     cfg = MapFitConfig(
@@ -157,10 +156,9 @@ def run_filter(params, n_ensemble, seed, method="transport"):
     rng = np.random.default_rng(seed)
 
     truth = rng.standard_normal(3)
-    for _ in range(params.spinup):
-        truth = rk4_step(truth, params)
     members = rng.standard_normal((n_ensemble, 3))
     for _ in range(params.spinup):
+        truth = rk4_step(truth, params)
         members = rk4_step(members, params)
 
     rmse = np.full(params.steps, np.nan)
@@ -176,18 +174,17 @@ def run_filter(params, n_ensemble, seed, method="transport"):
         fractions = []
         try:
             for v in range(3):
+                y_pred = members[:, v] + rng.normal(0.0, params.obs_sigma, size=n_ensemble)
                 if method == "transport":
                     members, reports = transport_update(
-                        members, y_all[v], params.obs_sigma, v, rng, params.max_outer, warm[v]
+                        members, y_all[v], y_pred, v, params.max_outer, warm[v]
                     )
                     warm[v] = [r.log_lambdas for r in reports]
                     fractions.append([r.edf / r.raw_basis for r in reports])
                 else:
-                    members = linear_baseline_update(
-                        members, y_all[v], params.obs_sigma, v, rng
-                    )
-        except (RuntimeError, FloatingPointError, np.linalg.LinAlgError,
-                BarrierViolationError, DegenerateDimensionError) as exc:
+                    members = linear_baseline_update(members, y_all[v], y_pred, v)
+        except (*FIT_FAILURES, RuntimeError, FloatingPointError,
+                DegenerateDimensionError) as exc:
             logger.warning("seed %s step %d: %s; flagging divergence", seed, step, exc)
             diverged = True
             break

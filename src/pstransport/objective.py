@@ -38,6 +38,7 @@ __all__ = [
     "FitReport",
     "BarrierViolationError",
     "ModelTooComplexError",
+    "FIT_FAILURES",
     "nll",
     "solve_non_closed_form",
     "reduced_penalized_objective",
@@ -84,6 +85,10 @@ class BarrierViolationError(ValueError):
 
 class ModelTooComplexError(RuntimeError):
     """AICc correction undefined: n - edf - 1 <= 0."""
+
+
+# the errors that make one log-lambda point unfittable
+FIT_FAILURES = (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgError)
 
 
 class DesignCache:
@@ -188,7 +193,7 @@ class DesignCache:
             chol = _cho_factor(self.G_nn + self.s_non(lambdas))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
-                "singular nonmonotone system; increase lambda or ridge"
+                "singular nonmonotone system; increase lambda"
             ) from exc
         D = _cho_solve(chol, self.G_nm)
         H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
@@ -517,7 +522,7 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
                 break   # the step is below the rounding of log-lambda
             try:
                 v_new, rep_new, r_new = outer_objective(cache, trial, r0=r_hat)
-            except (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgError):
+            except FIT_FAILURES:
                 v_new = np.inf   # fails the Armijo test: halve the step
             accepted = v_new <= value - 1e-4 * alpha * grad_norm ** 2
             if accepted:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .component import MapComponent
-from .objective import LOG_LAMBDA_BOUNDS, DesignCache, FitReport, adapt_lambdas, \
-    solve_non_closed_form
+from .objective import LOG_LAMBDA_BOUNDS, DesignCache, adapt_lambdas, solve_non_closed_form
 from .splines import DegenerateDimensionError, KnotVector, SplineBasis, make_knots
 
 logger = logging.getLogger(__name__)
@@ -212,7 +211,7 @@ class TriangularMap:
         members = np.asarray(members, dtype=float)
         split = self.block_split
         za = self._observed_std(x_a_star)
-        Z = (members - self.center) / self.scale
+        Z = self._std(members)
         zb = [self._component(j).eval_many(Z) for j in range(split, self.dim)]
         Z[:, :split] = za
         return self._invert_from(Z, zb, split) * self.scale + self.center
@@ -261,7 +260,8 @@ class TriangularMap:
     @classmethod
     def from_dict(cls, doc):
         """Map saved by ``to_dict``. Raises ValueError when the sizes, the block
-        split, a component's own variable or its parents do not fit together."""
+        split, a component's own variable or its parents do not fit together,
+        or a center, scale or degree is out of its range."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
         comps = []
@@ -272,6 +272,9 @@ class TriangularMap:
             if cd["own"] != j:
                 raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
             degree = cd["degree"]
+            if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+                raise ValueError(f"component {j} degree must be a non-negative integer, "
+                                 f"not {degree!r}")
             non_bases = [SplineBasis(KnotVector(np.array(k), degree))
                          for k in cd["non_knots"]]
             mon_basis = SplineBasis(KnotVector(np.array(cd["mon_knots"]), degree))
@@ -286,6 +289,10 @@ class TriangularMap:
             raise ValueError(f"saved map sizes disagree: dim {doc['dim']!r}, {tri.dim} centers, "
                              f"{tri.scale.size} scales, {len(tri.names)} names, "
                              f"{len(comps)} components")
+        if not np.all(np.isfinite(tri.center)):
+            raise ValueError(f"saved map center must be finite, not {doc['center']!r}")
+        if not np.all(np.isfinite(tri.scale) & (tri.scale > 0)):
+            raise ValueError(f"saved map scale must be finite and positive, not {doc['scale']!r}")
         _validate_fit([[] if c is None else c.parents for c in comps], tri.dim, tri)
         return tri
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import LOG_LAMBDA_BOUNDS, BarrierViolationError, ModelTooComplexError, \
-    outer_objective
+from .objective import FIT_FAILURES, LOG_LAMBDA_BOUNDS, outer_objective
 from .tmap import Ensemble, MapFitConfig, TriangularMap, _check_ranges, _component_design, \
     _component_from_fit, fit
 
@@ -81,10 +80,9 @@ class ProfileResult:
 def profile_lambda(config=None):
     """Sweep the nonmonotone smoothing parameter of S2 over the grid.
 
-    Grid points whose fit fails numerically (``ModelTooComplexError``,
-    ``BarrierViolationError`` or ``LinAlgError``) are recorded as NaN
-    rows, rows whose inner solve did not converge are logged as warnings,
-    and any other exception propagates. The map fit adapts the same
+    Grid points whose fit fails numerically (``objective.FIT_FAILURES``)
+    are recorded as NaN rows, rows whose inner solve did not converge are
+    logged as warnings, and any other exception propagates. The map fit adapts the same
     parameter by gradient descent (same fixed monotone penalty) for
     comparison with the grid argmin.
     """
@@ -98,8 +96,7 @@ def profile_lambda(config=None):
         monotone_log_lambda=config.fixed_monotone_log_lambda,
     )
     tri0, reports = fit(ensemble, [[], [0]], map_config)
-    Zs = (ensemble.data - tri0.center) / tri0.scale
-    cache, parents = _component_design(Zs, 1, [0], map_config)
+    cache, parents = _component_design(tri0._std(ensemble.data), 1, [0], map_config)
 
     table = np.full((config.grid.size, 4), np.nan)
     fits = {}
@@ -108,7 +105,7 @@ def profile_lambda(config=None):
         try:
             logls = np.array([logl, config.fixed_monotone_log_lambda])
             aicc, report, r_hat = outer_objective(cache, logls)
-        except (ModelTooComplexError, BarrierViolationError, np.linalg.LinAlgError):
+        except FIT_FAILURES:
             continue
         if not report.converged:
             logger.warning("log lambda %g: inner solve unconverged, projected gradient %.3g",

@@ -107,7 +107,8 @@ def test_fit_takes_no_adapt_seed_or_degree_key(tmp_path, gaussian_table, monkeyp
 
 
 @pytest.mark.parametrize("command, flag", [("fit", "--threads"), ("fit", "--seed-offset"),
-                                           ("wavy", "--threads")])
+                                           ("wavy", "--threads"), ("wavy", "--seed-offset"),
+                                           ("lorenz63", "--seed-offset")])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, flag):
     cfg = write_json(tmp_path / "c.json", {})
     with pytest.raises(SystemExit) as info:
@@ -146,6 +147,19 @@ def test_degenerate_ensemble_is_compute_error(tmp_path):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": str(path), "parent_sets": [[], [0]]})
     assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+
+@pytest.mark.parametrize("rows", [["0.5\t1.0"] * 7, ["0.5\t1.0"] * 20 + ["nan\t1.0"]])
+def test_short_or_non_finite_ensemble_table_is_config_error(tmp_path, monkeypatch, rows):
+    """A table with fewer than 8 rows or a non-finite entry is a config error
+    (exit 2), found before any work."""
+    calls = capture(monkeypatch, "fit")
+    path = tmp_path / "ens.tsv"
+    path.write_text("\n".join(["a\tb", *rows]) + "\n")
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": str(path), "parent_sets": [[], [0]]})
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert not calls
 
 
 def test_wavy_outputs(tmp_path):
@@ -196,16 +210,6 @@ def test_lorenz_rerun_byte_identical(tmp_path):
     assert (out1 / "summary.tsv").read_bytes() == (out2 / "summary.tsv").read_bytes()
 
 
-def test_seed_offset_shifts_seeds(tmp_path):
-    cfg = write_json(tmp_path / "l.json",
-                     {"methods": ["linear-baseline"], "n_grid": [50],
-                      "seeds": [0], "steps": 5})
-    out = tmp_path / "off"
-    assert run(["lorenz63", "--config", cfg, "--out", out,
-                "--seed-offset", 7, "--threads", 1]) == 0
-    assert (out / "run_linear-baseline_n50_seed7.tsv").exists()
-
-
 class Captured(Exception):
     pass
 
@@ -236,8 +240,8 @@ def test_empty_wavy_config_takes_dataclass_defaults(tmp_path, monkeypatch):
 
 def test_partial_wavy_grid_takes_default_ends(tmp_path, monkeypatch):
     calls = capture(monkeypatch, "profile_lambda")
-    cfg = write_json(tmp_path / "w.json", {"grid": {"num": 5}, "seed": 2})
-    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", 3]) == 3
+    cfg = write_json(tmp_path / "w.json", {"grid": {"num": 5}, "seed": 5})
+    assert run(["wavy", "--config", cfg, "--out", tmp_path / "o"]) == 3
     (got,), _ = calls[0]
     default = WavyConfig().grid
     assert np.array_equal(got.grid, np.linspace(default[0], default[-1], 5))
@@ -307,23 +311,22 @@ def test_out_of_range_values_are_config_errors(tmp_path, gaussian_table, monkeyp
     assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)
 
 
-@pytest.mark.parametrize("command, stubbed, doc, offset", [
-    ("wavy", "profile_lambda", {"seed": -1}, 0),
-    ("wavy", "profile_lambda", {"seed": 2}, -3),
-    ("lorenz63", "run_filter", {"seeds": [-1]}, 0),
-    ("lorenz63", "run_filter", {}, -5),
-    ("wavy", "profile_lambda", {"grid": {"num": -1}}, 0),
-    ("wavy", "profile_lambda", {"grid": {"num": 0}}, 0),
-    ("wavy", "profile_lambda", {"grid": []}, 0),
+@pytest.mark.parametrize("command, stubbed, doc", [
+    ("wavy", "profile_lambda", {"seed": -1}),
+    ("wavy", "profile_lambda", {"seed": -3}),
+    ("lorenz63", "run_filter", {"seeds": [-1]}),
+    ("lorenz63", "run_filter", {"seeds": [0, -5]}),
+    ("wavy", "profile_lambda", {"grid": {"num": -1}}),
+    ("wavy", "profile_lambda", {"grid": {"num": 0}}),
+    ("wavy", "profile_lambda", {"grid": []}),
 ])
 def test_negative_seeds_and_empty_grids_are_config_errors(tmp_path, monkeypatch, command,
-                                                          stubbed, doc, offset):
-    """A seed that is negative after --seed-offset, and a grid with no point
-    or a negative count, exit with 2 before any work."""
+                                                          stubbed, doc):
+    """A negative seed, and a grid with no point or a negative count, exit
+    with 2 before any work."""
     calls = capture(monkeypatch, stubbed)
     cfg = write_json(tmp_path / "c.json", doc)
-    assert run([command, "--config", cfg, "--out", tmp_path / "o",
-                "--seed-offset", offset]) == 2
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert not calls
 
 

@@ -41,16 +41,15 @@ def test_rk4_matches_high_accuracy_integrator():
 
 
 def test_rk4_convergence_order():
-    p = Lorenz63Params()
     x0 = np.array([1.0, 2.0, 20.0])
     ref = solve_ivp(lambda t, y: lorenz_rhs(y), (0, 0.1), x0,
                     rtol=1e-12, atol=1e-13).y[:, -1]
     errs = []
     for k in (1, 2, 4):
-        h = 0.1 / k
+        p = Lorenz63Params(dt=0.1 / k)
         x = x0.copy()
         for _ in range(k):
-            x = rk4_step(x, p, dt=h)
+            x = rk4_step(x, p)
         errs.append(np.max(np.abs(x - ref)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 3.5)   # fourth-order
@@ -71,17 +70,16 @@ def test_ensemble_rmse():
 def test_linear_baseline_shrinks_toward_observation():
     rng = np.random.default_rng(0)
     members = rng.standard_normal((500, 3)) * 2.0 + 5.0
-    upd = linear_baseline_update(members, 0.0, 0.25, 0, rng)
+    y_pred = members[:, 0] + rng.normal(0.0, 0.25, size=500)
+    upd = linear_baseline_update(members, 0.0, y_pred, 0)
     assert abs(upd[:, 0].mean()) < abs(members[:, 0].mean())
     assert upd[:, 0].var() < members[:, 0].var()
 
 
 def test_linear_baseline_zero_spread_passthrough():
+    # a fully degenerate ensemble whose predictions have no spread stays unchanged
     members = np.ones((30, 3))
-    rng = np.random.default_rng(1)
-    # y_pred still has spread from the perturbed observations, so the
-    # update exists; a fully degenerate ensemble stays unchanged
-    upd = linear_baseline_update(members, 2.0, 1e-300, 0, rng)
+    upd = linear_baseline_update(members, 2.0, members[:, 0].copy(), 0)
     assert np.allclose(upd, members)
 
 
@@ -91,7 +89,8 @@ def test_transport_update_moves_toward_observation():
         [0.0, 0.0, 0.0],
         [[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]], size=200
     )
-    upd, reports = transport_update(members, 2.0, 0.25, 0, rng, 10)
+    y_pred = members[:, 0] + rng.normal(0.0, 0.25, size=200)
+    upd, reports = transport_update(members, 2.0, y_pred, 0, 10)
     assert upd.shape == members.shape
     assert upd[:, 0].mean() > members[:, 0].mean() + 0.5
     assert upd[:, 0].var() < members[:, 0].var()

@@ -303,10 +303,18 @@ def set_at(doc, path, value):
     (("dim",), 4, "sizes disagree"),
     (("names",), ["a", "b"], "sizes disagree"),
     (("block_split",), 4, "block_split must lie in"),
+    (("center",), [0.0, float("nan"), 0.0], "center must be finite"),
+    (("scale",), [1.0, -1.0, 1.0], "scale must be finite and positive"),
+    (("scale",), [1.0, 1.0, float("inf")], "scale must be finite and positive"),
+    (("scale",), [0.0, 1.0, 1.0], "scale must be finite and positive"),
+    (("components", 1, "degree"), "3", "component 1 degree must be a non-negative integer"),
+    (("components", 2, "degree"), True, "component 2 degree must be a non-negative integer"),
+    (("components", 0, "degree"), -1, "component 0 degree must be a non-negative integer"),
 ])
 def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
-    """A saved map is outside input: its sizes, block split, own variables and
-    parents are checked when it is loaded, with the fit's parent rule."""
+    """A saved map is outside input: its sizes, block split, own variables,
+    parents, center, scale and degrees are checked when it is loaded, with the
+    fit's parent rule."""
     TriangularMap.from_dict(saved_sparse_map)
     with pytest.raises(ValueError, match=match):
         TriangularMap.from_dict(set_at(saved_sparse_map, path, value))
