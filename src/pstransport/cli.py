@@ -257,7 +257,7 @@ def build_parser():
         p.add_argument("--out", dest="out_dir", required=True, help="output directory")
         if name == "lorenz63":
             p.add_argument("--threads", type=int, default=0,
-                           help="worker processes; 1 guarantees bit-reproducible output, "
+                           help="worker processes (they do not change the output); "
                                 "0 picks the CPU count")
     return parser
 

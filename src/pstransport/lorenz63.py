@@ -43,11 +43,13 @@ class Lorenz63Params:
     max_outer: int = 10   # outer smoothing steps per map component fit
 
     def __post_init__(self):
-        if min(self.dt, self.obs_interval, self.obs_sigma) <= 0:
-            raise ValueError("all parameters must be positive")
+        for name in ("dt", "obs_interval", "obs_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
         ratio = self.obs_interval / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("obs_interval must be an integer multiple of dt")
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError("obs_interval must be a positive integer multiple of dt")
         _check_ranges(self, steps=(0, np.inf), spinup=(0, np.inf), max_outer=(0, np.inf))
 
     @property

@@ -218,13 +218,17 @@ class SplineBasis:
         scale = d / (t[d:] - t[:d])
         return self._scatter(s - d + 1, scale * N, self.num_basis + 1)
 
+    def _input(self, x):
+        """1-d float copy of ``x``, its clip to the real knots, and whether x is 0-d."""
+        x1 = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(np.isnan(x1)):
+            raise ValueError("NaN input to basis evaluation")
+        return x1, np.clip(x1, self.knots.first, self.knots.last), np.ndim(x) == 0
+
     def eval(self, x):
         """Basis values at ``x`` (scalar or 1-d array) -> (..., num_basis)."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(np.isnan(x)):
-            raise ValueError("NaN input to basis evaluation")
-        out = self._interior(np.clip(x, self.knots.first, self.knots.last))
+        x, clipped, scalar = self._input(x)
+        out = self._interior(clipped)
         lo = x < self.knots.first
         hi = x > self.knots.last
         if np.any(lo):
@@ -233,17 +237,12 @@ class SplineBasis:
             out[hi] = self._val_last + (x[hi, None] - self.knots.last) * self._slope_last
         return out[0] if scalar else out
 
-    def _clamped_increments(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(np.isnan(x)):
-            raise ValueError("NaN input to basis evaluation")
-        return self._increments(np.clip(x, self.knots.first, self.knots.last))
-
     def eval_deriv(self, x):
         """Basis derivatives at ``x``; constant in the affine tails."""
-        W = self._clamped_increments(x)
+        _, clipped, scalar = self._input(x)
+        W = self._increments(clipped)
         out = W[:, :-1] - W[:, 1:]
-        return out[0] if np.ndim(x) == 0 else out
+        return out[0] if scalar else out
 
     def eval_deriv_increments(self, x):
         """Derivative in increment form at ``x`` -> (..., num_basis).
@@ -255,8 +254,9 @@ class SplineBasis:
         Every entry is >= 0: with nonnegative increments the sum is exactly
         >= 0, and exactly 0 where the increments around x are zero.
         """
-        out = self._clamped_increments(x)[:, :-1]
-        return out[0] if np.ndim(x) == 0 else out
+        _, clipped, scalar = self._input(x)
+        out = self._increments(clipped)[:, :-1]
+        return out[0] if scalar else out
 
     def greville(self):
         """Greville abscissae; using them as coefficients reproduces f(x)=x."""

@@ -137,16 +137,20 @@ class TriangularMap:
 
     # -- helpers ------------------------------------------------------------
 
-    def _std(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.scale
+    def _std(self, x, cols=slice(None)):
+        """Standardized values of the variables ``cols`` given in original units."""
+        return (np.asarray(x, dtype=float) - self.center[cols]) / self.scale[cols]
+
+    def _unstd(self, z, cols=slice(None)):
+        """Original units of the standardized values of the variables ``cols``."""
+        return z * self.scale[cols] + self.center[cols]
 
     def _observed_std(self, x_a_star):
         """Standardized block-a values; one value per block-a variable."""
         split = self.block_split
-        x_a_star = np.asarray(x_a_star, dtype=float)
-        if x_a_star.size != split:
+        if np.size(x_a_star) != split:
             raise ValueError(f"x_a_star must have length {split}")
-        return (x_a_star - self.center[:split]) / self.scale[:split]
+        return self._std(x_a_star, slice(None, split))
 
     def _component(self, j):
         comp = self.components[j]
@@ -180,24 +184,19 @@ class TriangularMap:
     def log_pullback_density(self, x):
         """log pi(x) = sum_j [log phi(S_j(x)) + log dS_j/dx_j] for one row or an
         (n, d) array of rows; -inf where some dS_j/dx_j is nonpositive."""
-        Z = np.atleast_2d(self._std(x))
-        total = np.zeros(Z.shape[0])
-        ok = np.ones(Z.shape[0], dtype=bool)
-        for j in range(self.dim):
-            comp = self._component(j)
-            sj = comp.eval_many(Z)
-            dj = comp.ddx(Z[:, j]) / self.scale[j]
-            ok &= dj > 0
-            total += -0.5 * sj ** 2 - 0.5 * np.log(2.0 * np.pi) \
-                + np.log(np.where(ok, dj, 1.0))
-        total = np.where(ok, total, -np.inf)
+        X = np.atleast_2d(x)
+        D = np.column_stack([self.component_ddx(j, X) for j in range(self.dim)])
+        terms = -0.5 * self.pushforward(X) ** 2 - 0.5 * np.log(2.0 * np.pi) \
+            + np.log(np.where(D > 0, D, 1.0))
+        # a running total over components: numpy's row sum regroups 8 or more terms
+        total = np.where(np.all(D > 0, axis=1), sum(terms.T), -np.inf)
         return total[0] if np.ndim(x) == 1 else total
 
     def inverse(self, z):
         """x = S^{-1}(z) for one reference row or an (n, d) array of rows, by
         sequential solves in each component's own variable."""
         Z = np.atleast_2d(np.asarray(z, dtype=float))
-        x = self._invert_from(np.zeros(Z.shape), Z.T, 0) * self.scale + self.center
+        x = self._unstd(self._invert_from(np.zeros(Z.shape), Z.T, 0))
         return x[0] if np.ndim(z) == 1 else x
 
     # -- conditioning -------------------------------------------------------
@@ -208,25 +207,21 @@ class TriangularMap:
         ``members`` is an (n, dim) array in original units; returns the
         updated array. Each member keeps its own latent block-b coordinate.
         """
-        members = np.asarray(members, dtype=float)
         split = self.block_split
         za = self._observed_std(x_a_star)
         Z = self._std(members)
         zb = [self._component(j).eval_many(Z) for j in range(split, self.dim)]
         Z[:, :split] = za
-        return self._invert_from(Z, zb, split) * self.scale + self.center
+        return self._unstd(self._invert_from(Z, zb, split))
 
     def sample_conditional(self, x_a_star, num, seed=None):
         """Draw block-b samples conditioned on block a = x_a_star."""
-        rng = np.random.default_rng(seed)
         split = self.block_split
-        nb = self.dim - split
         za = self._observed_std(x_a_star)
-        z = rng.standard_normal((num, nb))
-        rows_std = np.empty((num, self.dim))
-        rows_std[:, :split] = za
-        self._invert_from(rows_std, z.T, split)
-        return rows_std[:, split:] * self.scale[split:] + self.center[split:]
+        zb = np.random.default_rng(seed).standard_normal((num, self.dim - split))
+        Z = np.empty((num, self.dim))
+        Z[:, :split] = za
+        return self._unstd(self._invert_from(Z, zb.T, split)[:, split:], slice(split, None))
 
     # -- serialization ------------------------------------------------------
 
@@ -332,18 +327,17 @@ def fit(ensemble, parent_sets, config=None):
     """
     config = config or MapFitConfig()
     _validate_fit(parent_sets, ensemble.dim, config)
-    center, scale = _standardization(ensemble.data)
-    Z = (ensemble.data - center) / scale
+    tri = TriangularMap([None] * ensemble.dim, *_standardization(ensemble.data),
+                        ensemble.names, config.block_split)
+    Z = tri._std(ensemble.data)
     first = 0 if config.fit_upper else config.block_split
-    components = [None] * ensemble.dim
     reports = [None] * ensemble.dim
     for j in range(first, ensemble.dim):
         with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
             cache, kept_parents = _component_design(Z, j, parent_sets[j], config)
             logl, reports[j], r_hat = _fit_design(cache, j, config)
-            components[j] = _component_from_fit(cache, kept_parents, j, logl, r_hat)
-    return TriangularMap(components, center, scale, ensemble.names,
-                         config.block_split), reports
+            tri.components[j] = _component_from_fit(cache, kept_parents, j, logl, r_hat)
+    return tri, reports
 
 
 def _component_design(Z, j, parents, config):

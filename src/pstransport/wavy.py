@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import FIT_FAILURES, LOG_LAMBDA_BOUNDS, outer_objective
-from .tmap import Ensemble, MapFitConfig, TriangularMap, _check_ranges, _component_design, \
+from .tmap import Ensemble, MapFitConfig, _check_ranges, _component_design, \
     _component_from_fit, fit
 
 logger = logging.getLogger(__name__)
@@ -95,8 +95,8 @@ def profile_lambda(config=None):
         num_real_knots=config.num_real_knots,
         monotone_log_lambda=config.fixed_monotone_log_lambda,
     )
-    tri0, reports = fit(ensemble, [[], [0]], map_config)
-    cache, parents = _component_design(tri0._std(ensemble.data), 1, [0], map_config)
+    tri, reports = fit(ensemble, [[], [0]], map_config)
+    cache, parents = _component_design(tri._std(ensemble.data), 1, [0], map_config)
 
     table = np.full((config.grid.size, 4), np.nan)
     fits = {}
@@ -122,9 +122,7 @@ def profile_lambda(config=None):
     rng = np.random.default_rng(config.seed + 1)
     z_ref = rng.standard_normal((config.num_pullback, 2))
     for logl in _representative(config.grid[ok], argmin):
-        comp = _component_from_fit(cache, parents, 1, *fits[float(logl)])
-        tri = TriangularMap([tri0.components[0], comp], tri0.center, tri0.scale,
-                            tri0.names, tri0.block_split)
+        tri.components[1] = _component_from_fit(cache, parents, 1, *fits[float(logl)])
         push = tri.pushforward_ensemble(ensemble).data
         pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}

@@ -198,12 +198,13 @@ def test_lorenz_outputs_and_summary_consistency(tmp_path):
 
 
 def test_lorenz_rerun_byte_identical(tmp_path):
+    """A rerun gives the same bytes, whatever the number of worker processes."""
     cfg = write_json(tmp_path / "l.json",
                      {"methods": ["transport"], "n_grid": [50],
                       "seeds": [0], "steps": 3})
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["lorenz63", "--config", cfg, "--out", out1, "--threads", 1]) == 0
-    assert run(["lorenz63", "--config", cfg, "--out", out2, "--threads", 1]) == 0
+    assert run(["lorenz63", "--config", cfg, "--out", out2, "--threads", 2]) == 0
     f1 = (out1 / "run_transport_n50_seed0.tsv").read_bytes()
     f2 = (out2 / "run_transport_n50_seed0.tsv").read_bytes()
     assert f1 == f2
@@ -302,12 +303,17 @@ def test_mistyped_values_are_config_errors(tmp_path, gaussian_table, monkeypatch
     ("lorenz63", "run_filter", {"steps": -1}),
     ("lorenz63", "run_filter", {"max_outer": -1}),
     ("lorenz63", "run_filter", {"spinup": -5}),
+    ("lorenz63", "run_filter", {"obs_sigma": float("nan")}),
+    ("lorenz63", "run_filter", {"obs_sigma": float("inf")}),
+    ("lorenz63", "run_filter", {"obs_interval": float("inf")}),
+    ("lorenz63", "run_filter", {"dt": float("inf")}),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, gaussian_table, monkeypatch,
                                                command, stubbed, doc):
     """Each config rejects its own range when it is built: too few knots,
     ensemble members, steps or draws, and start log-lambdas outside the
-    bounds of the search, exit with 2 before any work."""
+    bounds of the search, and a non-finite Lorenz-63 step, observation interval
+    or observation noise, exit with 2 before any work."""
     assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)
 
 

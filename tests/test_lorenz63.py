@@ -19,6 +19,8 @@ def test_params_validation():
         Lorenz63Params(dt=-0.1)
     with pytest.raises(ValueError):
         Lorenz63Params(dt=0.04, obs_interval=0.1)   # not an integer multiple
+    with pytest.raises(ValueError, match="positive integer multiple"):
+        Lorenz63Params(dt=0.05, obs_interval=1e-12)   # no model step between observations
     assert Lorenz63Params().substeps == 2
 
 

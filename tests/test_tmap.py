@@ -233,6 +233,15 @@ def test_sample_conditional_reproducible(fitted):
     assert np.array_equal(a, b)
 
 
+def test_sample_conditional_without_block_a_is_the_inverse(fitted):
+    """With no observed block, conditional draws are the inverse of the same
+    reference draws, bit for bit, in a C-contiguous array."""
+    _, tri, _ = fitted
+    draws = tri.sample_conditional([], 40, seed=5)
+    assert np.array_equal(draws, tri.inverse(np.random.default_rng(5).standard_normal((40, 2))))
+    assert draws.flags["C_CONTIGUOUS"]
+
+
 def test_conditioning_checks_the_observed_block_size():
     """Both conditioning methods take exactly one value per block-a variable."""
     config = MapFitConfig(block_split=2, fit_upper=False, max_outer=2)
