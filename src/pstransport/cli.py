@@ -213,7 +213,7 @@ def cmd_lorenz63(config_path, out_dir, threads):
 
     jobs = [(params, n, seed, method)
             for method in methods for n in n_grid for seed in seeds]
-    threads = threads if threads > 0 else (os.cpu_count() or 1)
+    threads = threads or os.cpu_count() or 1
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_one_l63_run, jobs))
@@ -245,6 +245,17 @@ def cmd_lorenz63(config_path, out_dir, threads):
 _COMMANDS = {"fit": cmd_fit, "wavy": cmd_wavy, "lorenz63": cmd_lorenz63}
 
 
+def _worker_count(text):
+    """``--threads`` value: an integer of at least 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 0, not {text!r}")
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pstransport",
@@ -256,9 +267,9 @@ def build_parser():
         p.add_argument("--config", dest="config_path", required=True, help="JSON config file")
         p.add_argument("--out", dest="out_dir", required=True, help="output directory")
         if name == "lorenz63":
-            p.add_argument("--threads", type=int, default=0,
+            p.add_argument("--threads", type=_worker_count, default=0,
                            help="worker processes (they do not change the output); "
-                                "0 picks the CPU count")
+                                "at least 0; 0 picks the CPU count")
     return parser
 
 

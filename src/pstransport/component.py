@@ -87,15 +87,14 @@ class MapComponent:
         self.beta_mon_raw = np.asarray(beta_mon_raw, dtype=float)
         if np.any(self.beta_mon_raw[1:] < 0):
             raise ValueError("monotone increments must be nonnegative")
-        expected = sum(b.num_basis for b in non_bases)
-        if self.beta_non.size != expected:
-            raise ValueError(f"beta_non has size {self.beta_non.size}, expected {expected}")
+        ends = np.cumsum([0] + [b.num_basis for b in non_bases])
+        if self.beta_non.size != ends[-1]:
+            raise ValueError(f"beta_non has size {self.beta_non.size}, expected {ends[-1]}")
         if self.beta_mon_raw.size != mon_basis.num_basis:
             raise ValueError("beta_mon_raw size must match monotone basis")
         self.beta_mon = np.cumsum(self.beta_mon_raw)
         self.log_lambdas = None if log_lambdas is None else np.asarray(log_lambdas, float)
         self._mon = PiecewisePolynomial(mon_basis, self.beta_mon)
-        ends = np.cumsum([0] + [b.num_basis for b in non_bases])
         self._non = [PiecewisePolynomial(b, self.beta_non[i:j])
                      for b, i, j in zip(non_bases, ends[:-1], ends[1:])]
 

@@ -66,8 +66,6 @@ class FilterRunResult:
     edf_fractions: np.ndarray   # (steps, 3) mean fraction per map component S2..S4
     diverged: bool
     seed: int
-    method: str
-    n_ensemble: int
     steps_completed: int = 0
 
 
@@ -129,8 +127,7 @@ def transport_update(members, y_obs, y_pred, obs_index, max_outer, warm_lambdas=
     the reports' log-lambdas warm-start the next update of this variable.
     """
     order = _STATE_ORDERS[obs_index]
-    joint = np.column_stack([y_pred, members[:, order[0]],
-                             members[:, order[1]], members[:, order[2]]])
+    joint = np.column_stack([y_pred, members[:, order]])
     cfg = MapFitConfig(
         max_outer=max_outer,
         block_split=1,
@@ -140,8 +137,7 @@ def transport_update(members, y_obs, y_pred, obs_index, max_outer, warm_lambdas=
     tri, reports = fit(Ensemble(joint), _PARENT_SETS, cfg)
     updated_block = tri.conditional_update(joint, np.array([y_obs]))[:, 1:]
     out = members.copy()
-    for k, var in enumerate(order):
-        out[:, var] = updated_block[:, k]
+    out[:, order] = updated_block
     return out, reports[1:]
 
 
@@ -166,7 +162,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
     rmse = np.full(params.steps, np.nan)
     edf_frac = np.full((params.steps, 3), np.nan)
     diverged = False
-    warm = {0: None, 1: None, 2: None}
+    warm = [None, None, None]
     completed = 0
     for step in range(params.steps):
         for _ in range(params.substeps):
@@ -202,6 +198,5 @@ def run_filter(params, n_ensemble, seed, method="transport"):
     mean_rmse = float(valid.mean()) if valid.size and not diverged else np.inf
     return FilterRunResult(
         rmse_series=rmse, mean_rmse=mean_rmse, edf_fractions=edf_frac,
-        diverged=diverged, seed=seed, method=method, n_ensemble=n_ensemble,
-        steps_completed=completed,
+        diverged=diverged, seed=seed, steps_completed=completed,
     )

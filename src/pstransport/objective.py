@@ -346,19 +346,19 @@ def fit_inner(cache, log_lambdas, r0=None):
 def _factored_hessian(cache, r_hat, log_lambdas):
     """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
 
-    Returns ``(Hu, Pen, blocks, free, Wf, s, factors)``: the unpenalized
-    Hessian Hu and the penalty Pen over (beta_non, free raw coords), with
-    increments pinned at zero left out; the smoothing blocks as (slice,
-    unit-lambda penalty) pairs, parents first and monotone last; the free
-    mask, the free columns of ``W`` and the monotone derivative at every
-    sample; and per block the Cholesky factor of the diagonal block of
-    Hu + Pen with Hp_b^-1 Hu_b. Each block is taken with the other blocks'
-    coefficients held fixed; this keeps the lambda -> infinity limit at the
-    penalty null-space dimension per block even though the additive level
-    is shared. The state of the last (log_lambdas, r_hat) asked for is kept
-    on the cache (exact match) and is read-only, so ``edf`` in
-    ``outer_objective`` and the ``outer_gradient`` that follows at the
-    accepted point assemble and factor once.
+    Returns ``(Hu, Pen, blocks, free, Wf, s, factors, traces)``: the
+    unpenalized Hessian Hu and the penalty Pen over (beta_non, free raw
+    coords), with increments pinned at zero left out; the smoothing blocks
+    as (slice, unit-lambda penalty) pairs, parents first and monotone last;
+    the free mask, the free columns of ``W`` and the monotone derivative at
+    every sample; per block the Cholesky factor of the diagonal block of
+    Hu + Pen with Hp_b^-1 Hu_b; and the per-block edf tr(Hp_b^-1 Hu_b).
+    Each block is taken with the other blocks' coefficients held fixed;
+    this keeps the lambda -> infinity limit at the penalty null-space
+    dimension per block even though the additive level is shared. The
+    state of the last point asked for is kept on the cache (exact match),
+    read-only, so ``edf`` in ``outer_objective`` and the ``outer_gradient``
+    that follows at the accepted point assemble and factor once.
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
     key = np.concatenate([log_lambdas, r_hat])
@@ -394,7 +394,8 @@ def _factored_hessian(cache, r_hat, log_lambdas):
         factors.append((chol, _cho_solve(chol, Hu[sl, sl])))
     for arr in (Hu, Pen, free, Wf, s, blocks[-1][1], *(a for f in factors for a in f)):
         arr.flags.writeable = False
-    state = (Hu, Pen, tuple(blocks), free, Wf, s, tuple(factors))
+    traces = tuple(float(np.trace(W)) for _, W in factors)
+    state = (Hu, Pen, tuple(blocks), free, Wf, s, tuple(factors), traces)
     cache._hess_key, cache._hess = key, state
     return state
 
@@ -405,8 +406,7 @@ def edf(cache, r_hat, log_lambdas, per_block=False):
     With ``per_block=True`` also returns the per-block traces
     (parents first, monotone last).
     """
-    factors = _factored_hessian(cache, r_hat, log_lambdas)[-1]
-    traces = [float(np.trace(W)) for _, W in factors]
+    traces = _factored_hessian(cache, r_hat, log_lambdas)[-1]
     total = float(sum(traces))
     if not per_block:
         return total
@@ -451,9 +451,9 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
     _, D, lambdas = cache.profile_operators(log_lambdas)
-    Hu, Pen, blocks, free, Wf, s, factors = _factored_hessian(cache, r_hat, log_lambdas)
-    # edf from the factors in hand, summed in edf's order
-    penprime = _aicc_penalty_deriv(sum(float(np.trace(W)) for _, W in factors), cache.n)
+    Hu, Pen, blocks, free, Wf, s, factors, traces = \
+        _factored_hessian(cache, r_hat, log_lambdas)
+    penprime = _aicc_penalty_deriv(sum(traces), cache.n)
     beta = np.concatenate([-D @ r_hat, r_hat[free]])
     # unpenalized gradient at the optimum: minus the penalty gradient
     gL = -Pen @ beta

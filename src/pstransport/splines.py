@@ -159,10 +159,10 @@ class SplineBasis:
         # offsets of the knot window t_{s-d+1} .. t_{s+d} of a sample in span s
         self._window = np.arange(1 - self.degree, self.degree + 1)
         # boundary values/slopes used for the affine tails
-        self._val_first = self._interior(np.array([knots.first]))[0]
-        self._val_last = self._interior(np.array([knots.last]))[0]
-        ends = self._increments(np.array([knots.first, knots.last]))
-        self._slope_first, self._slope_last = ends[:, :-1] - ends[:, 1:]
+        ends = np.array([knots.first, knots.last])
+        self._val_first, self._val_last = self._interior(ends)
+        increments = self._increments(ends)
+        self._slope_first, self._slope_last = increments[:, :-1] - increments[:, 1:]
 
     def _local(self, x, level):
         """Nonzero basis functions of degree ``level`` at interior x.
@@ -363,7 +363,6 @@ class PenaltyMatrix:
     def __init__(self, num_basis, order=2):
         if order < 1 or num_basis <= order:
             raise ValueError(f"need num_basis > order >= 1, got {num_basis}, {order}")
-        self.order = order
         D = np.eye(num_basis)
         for _ in range(order):
             D = np.diff(D, axis=0)

@@ -62,6 +62,11 @@ def permute_ensemble(ensemble, order):
     return Ensemble(ensemble.data[:, order], [ensemble.names[j] for j in order])
 
 
+def _is_int(value):
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_ranges(config, **bounds):
     """Raise ValueError naming the first field of ``config`` in ``bounds``
     whose value lies outside its closed (low, high) range; None passes."""
@@ -88,6 +93,11 @@ class MapFitConfig:
         _check_ranges(self, num_real_knots=(2, np.inf), max_outer=(0, np.inf),
                       block_split=(0, np.inf), init_log_lambda=LOG_LAMBDA_BOUNDS,
                       monotone_log_lambda=LOG_LAMBDA_BOUNDS)
+        low, high = LOG_LAMBDA_BOUNDS
+        for start in self.init_log_lambdas:
+            values = np.asarray([] if start is None else start, dtype=float)
+            if not np.all((low <= values) & (values <= high)):
+                raise ValueError(f"init_log_lambdas must lie in [{low}, {high}], not {start!r}")
 
 
 @contextmanager
@@ -115,7 +125,7 @@ def _validate_fit(parent_sets, dim, config):
         raise ValueError(f"one parent set per variable required ({dim})")
     for j, parents in enumerate(parent_sets):
         for p in parents:
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p < j:
+            if not _is_int(p) or not 0 <= p < j:
                 raise ValueError(
                     f"component {j} lists parent {p!r}; parents must be integers below {j}"
                 )
@@ -256,7 +266,8 @@ class TriangularMap:
     def from_dict(cls, doc):
         """Map saved by ``to_dict``. Raises ValueError when the sizes, the block
         split, a component's own variable or its parents do not fit together,
-        or a center, scale or degree is out of its range."""
+        or the names, block split, center, scale or a degree is of the wrong
+        type or out of its range."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
         comps = []
@@ -267,7 +278,7 @@ class TriangularMap:
             if cd["own"] != j:
                 raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
             degree = cd["degree"]
-            if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+            if not _is_int(degree) or degree < 0:
                 raise ValueError(f"component {j} degree must be a non-negative integer, "
                                  f"not {degree!r}")
             non_bases = [SplineBasis(KnotVector(np.array(k), degree))
@@ -278,6 +289,12 @@ class TriangularMap:
                 np.array(cd["beta_non"]), np.array(cd["beta_mon_raw"]),
                 None if cd["log_lambdas"] is None else np.array(cd["log_lambdas"]),
             ))
+        if not _is_int(doc["block_split"]):
+            raise ValueError(f"saved map block_split must be an integer, "
+                             f"not {doc['block_split']!r}")
+        if not isinstance(doc["names"], list) or \
+                not all(isinstance(name, str) for name in doc["names"]):
+            raise ValueError(f"saved map names must be a list of strings, not {doc['names']!r}")
         tri = cls(comps, np.array(doc["center"]), np.array(doc["scale"]),
                   doc["names"], doc["block_split"])
         if not doc["dim"] == tri.dim == tri.scale.size == len(tri.names) == len(comps):
@@ -327,6 +344,10 @@ def fit(ensemble, parent_sets, config=None):
     """
     config = config or MapFitConfig()
     _validate_fit(parent_sets, ensemble.dim, config)
+    warm = config.init_log_lambdas
+    if warm and len(warm) != ensemble.dim:
+        raise ValueError(f"init_log_lambdas needs one entry per variable ({ensemble.dim}), "
+                         f"not {len(warm)}")
     tri = TriangularMap([None] * ensemble.dim, *_standardization(ensemble.data),
                         ensemble.names, config.block_split)
     Z = tri._std(ensemble.data)
@@ -335,7 +356,14 @@ def fit(ensemble, parent_sets, config=None):
     for j in range(first, ensemble.dim):
         with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
             cache, kept_parents = _component_design(Z, j, parent_sets[j], config)
-            logl, reports[j], r_hat = _fit_design(cache, j, config)
+            logl0 = np.full(cache.num_blocks, config.init_log_lambda)
+            if warm and warm[j] is not None:
+                logl0 = np.array(warm[j], dtype=float)
+            mask = np.full(cache.num_blocks, config.adapt)
+            if config.monotone_log_lambda is not None:
+                logl0[-1] = config.monotone_log_lambda
+                mask[-1] = False
+            logl, reports[j], r_hat = adapt_lambdas(cache, logl0, mask, config.max_outer)
             tri.components[j] = _component_from_fit(cache, kept_parents, j, logl, r_hat)
     return tri, reports
 
@@ -366,15 +394,3 @@ def _component_from_fit(cache, parents, j, log_lambdas, r_hat):
     return MapComponent(parents, j, cache.non_bases, cache.mon_basis,
                         beta_non, r_hat, log_lambdas)
 
-
-def _fit_design(cache, j, config):
-    """Fit component j on its design: start log-lambdas, adaptation mask and
-    ``max_outer`` from ``config``. Returns (log_lambdas, report, r_hat)."""
-    logl0 = np.full(cache.num_blocks, config.init_log_lambda)
-    if config.init_log_lambdas and config.init_log_lambdas[j] is not None:
-        logl0 = np.array(config.init_log_lambdas[j], dtype=float)
-    mask = np.full(cache.num_blocks, config.adapt)
-    if config.monotone_log_lambda is not None:
-        logl0[-1] = config.monotone_log_lambda
-        mask[-1] = False
-    return adapt_lambdas(cache, logl0, mask, config.max_outer)

@@ -116,6 +116,17 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, command, flag):
     assert info.value.code == 2
 
 
+def test_thread_count_below_zero_is_a_usage_error(tmp_path, monkeypatch):
+    """--threads takes an integer of at least 0; -1 stops the argument
+    parsing (exit 2) before any filter run."""
+    calls = capture(monkeypatch, "run_filter")
+    cfg = write_json(tmp_path / "c.json", {"n_grid": [20], "steps": 1, "seeds": [0]})
+    with pytest.raises(SystemExit) as info:
+        run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", -1])
+    assert info.value.code == 2
+    assert not calls
+
+
 def test_triangularity_violation_rejected(tmp_path, gaussian_table):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[1], []]})

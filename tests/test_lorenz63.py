@@ -102,6 +102,23 @@ def test_transport_update_moves_toward_observation():
     assert len(reports) == 3
 
 
+@pytest.mark.parametrize("obs_index", [0, 1, 2])
+def test_transport_update_is_equivariant_in_the_state_order(obs_index):
+    """Observing variable v updates the state as observing variable 0 of the
+    state reordered by _STATE_ORDERS[v] (observed first), bit for bit."""
+    rng = np.random.default_rng(3)
+    members = rng.multivariate_normal(
+        [0.0, 1.0, -1.0],
+        [[1.0, 0.6, 0.2], [0.6, 1.0, 0.5], [0.2, 0.5, 1.0]], size=60
+    )
+    order = lorenz63._STATE_ORDERS[obs_index]
+    y_pred = members[:, obs_index] + rng.normal(0.0, 0.25, size=60)
+    upd, reports = transport_update(members, 1.5, y_pred, obs_index, 3)
+    upd_0, reports_0 = transport_update(members[:, order], 1.5, y_pred, 0, 3)
+    assert np.array_equal(upd[:, order], upd_0)
+    assert [r.aicc for r in reports] == [r.aicc for r in reports_0]
+
+
 def test_max_outer_reaches_every_component_fit(monkeypatch):
     """Lorenz63Params.max_outer caps the outer search of every map component
     the filter fits; the default is 10."""

@@ -83,10 +83,17 @@ def test_parent_indices_must_be_integers(parent):
     (3, {"block_split": 5, "fit_upper": False}),
     (3, {"block_split": 4}),
     (2, {"max_outer": -3}),
+    (2, {"init_log_lambdas": [None, [np.nan, 1.0]]}),
+    (2, {"init_log_lambdas": [None, [1.0, 16.0]]}),
+    (2, {"init_log_lambdas": [[-15.5], None]}),
+    (3, {"init_log_lambdas": [None, [1.0, 1.0]]}),
+    (2, {"init_log_lambdas": [None, [1.0, 1.0], [1.0, 1.0]]}),
 ])
 def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
-    """A negative setting fails when the config is built, a block split past
-    the variables when the fit sees the data; both before any fit."""
+    """A negative setting or a warm start outside the log-lambda bounds fails
+    when the config is built, a block split past the variables or a warm-start
+    list without one entry per variable when the fit sees the data; all before
+    any fit."""
     calls = []
     adapt = tmap.adapt_lambdas
 
@@ -95,7 +102,8 @@ def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
         return adapt(*args, **kwargs)
 
     monkeypatch.setattr(tmap, "adapt_lambdas", recorded)
-    with pytest.raises(ValueError, match="(block_split|max_outer) must lie in"):
+    with pytest.raises(ValueError, match="(block_split|max_outer|init_log_lambdas) must lie in|"
+                                         "init_log_lambdas needs one entry per variable"):
         fit(gaussian_ensemble(50, dim=dim), [[]] + [[0]] * (dim - 1), MapFitConfig(**config))
     assert not calls
 
@@ -319,11 +327,15 @@ def set_at(doc, path, value):
     (("components", 1, "degree"), "3", "component 1 degree must be a non-negative integer"),
     (("components", 2, "degree"), True, "component 2 degree must be a non-negative integer"),
     (("components", 0, "degree"), -1, "component 0 degree must be a non-negative integer"),
+    (("block_split",), 1.5, "block_split must be an integer"),
+    (("block_split",), True, "block_split must be an integer"),
+    (("names",), "abc", "names must be a list of strings"),
+    (("names",), [0, 1, 2], "names must be a list of strings"),
 ])
 def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
-    """A saved map is outside input: its sizes, block split, own variables,
-    parents, center, scale and degrees are checked when it is loaded, with the
-    fit's parent rule."""
+    """A saved map is outside input: its sizes, block split, names, own
+    variables, parents, center, scale and degrees are checked when it is
+    loaded, with the fit's parent rule."""
     TriangularMap.from_dict(saved_sparse_map)
     with pytest.raises(ValueError, match=match):
         TriangularMap.from_dict(set_at(saved_sparse_map, path, value))
