@@ -145,16 +145,14 @@ class MapComponent:
         x = np.empty(t.size)
         below = t < f_lo
         above = t > f_hi
-        if below.any():
-            if slope_lo <= 0:
-                raise _not_invertible("flat left tail; target below range",
-                                      np.where(below, f_lo - t, -np.inf), z_targets)
-            x[below] = first + (t[below] - f_lo) / slope_lo
-        if above.any():
-            if slope_hi <= 0:
-                raise _not_invertible("flat right tail; target above range",
-                                      np.where(above, t - f_hi, -np.inf), z_targets)
-            x[above] = last + (t[above] - f_hi) / slope_hi
+        for out, end, f_end, slope, where in (
+                (below, first, f_lo, slope_lo, "left tail; target below"),
+                (above, last, f_hi, slope_hi, "right tail; target above")):
+            if out.any():
+                if slope <= 0:
+                    raise _not_invertible(f"flat {where} range",
+                                          np.where(out, np.abs(t - f_end), -np.inf), z_targets)
+                x[out] = end + (t[out] - f_end) / slope
         scale = np.maximum(1.0, np.abs(z_targets))
         active = np.flatnonzero(~(below | above))
         if active.size:

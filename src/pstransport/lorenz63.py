@@ -16,7 +16,7 @@ import numpy as np
 
 from .objective import FIT_FAILURES
 from .splines import DegenerateDimensionError
-from .tmap import Ensemble, MapFitConfig, _check_ranges, fit
+from .tmap import Ensemble, MapFitConfig, _check_fields, fit
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +43,13 @@ class Lorenz63Params:
     max_outer: int = 10   # outer smoothing steps per map component fit
 
     def __post_init__(self):
+        _check_fields(self, steps=(0, np.inf), spinup=(0, np.inf), max_outer=(0, np.inf))
         for name in ("dt", "obs_interval", "obs_sigma"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, not {value!r}")
-        ratio = self.obs_interval / self.dt
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+        if self.substeps < 1 or abs(self.obs_interval / self.dt - self.substeps) > 1e-9:
             raise ValueError("obs_interval must be a positive integer multiple of dt")
-        _check_ranges(self, steps=(0, np.inf), spinup=(0, np.inf), max_outer=(0, np.inf))
 
     @property
     def substeps(self):
@@ -178,7 +177,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
                         members, y_all[v], y_pred, v, params.max_outer, warm[v]
                     )
                     warm[v] = [r.log_lambdas for r in reports]
-                    fractions.append([r.edf / r.raw_basis for r in reports])
+                    fractions.append([r.edf / (r.design.m + r.design.p) for r in reports])
                 else:
                     members = linear_baseline_update(members, y_all[v], y_pred, v)
         except (*FIT_FAILURES, RuntimeError, FloatingPointError,
@@ -194,8 +193,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
         if not np.isfinite(r) or r > DIVERGENCE_RMSE:
             diverged = True
             break
-    valid = rmse[np.isfinite(rmse)]
-    mean_rmse = float(valid.mean()) if valid.size and not diverged else np.inf
+    mean_rmse = float(rmse.mean()) if rmse.size and not diverged else np.inf
     return FilterRunResult(
         rmse_series=rmse, mean_rmse=mean_rmse, edf_fractions=edf_frac,
         diverged=diverged, seed=seed, steps_completed=completed,

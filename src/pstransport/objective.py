@@ -218,7 +218,8 @@ class FitReport:
     ``grad_norm`` is the norm of the adapted blocks' outer log-lambda
     gradient at the returned ``log_lambdas``, NaN when no block adapts.
     ``inner_grad_norm`` is the projected gradient norm of the inner solve
-    there, and ``converged`` says whether that solve met its tolerance."""
+    there, and ``converged`` says whether that solve met its tolerance.
+    ``design`` is the component's ``DesignCache``, for its sizes or a refit."""
 
     nll: float
     edf: float
@@ -230,9 +231,8 @@ class FitReport:
     grad_norm: float = np.nan
     inner_grad_norm: float = np.nan
     edf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n: int = 0
-    raw_basis: int = 0
     stop_reason: str = ""
+    design: DesignCache = field(default=None, repr=False, compare=False)
 
 
 # -- objective values -------------------------------------------------------
@@ -293,18 +293,18 @@ def fit_inner(cache, log_lambdas, r0=None):
     sum log1p((W d) / s)``: where the monotone level and the parent
     constants are confounded, the value itself cancels to rounding noise.
 
-    Returns (raw_parameters, iterations, converged, projected_grad_norm).
+    Returns (raw_parameters, iterations, converged, projected_grad_norm);
+    iterations is 1 for a converged start and ``INNER_MAX_ITER`` at the cap.
     """
     H = cache.profile_operators(log_lambdas)[0]
     r = cache.default_raw() if r0 is None else np.array(r0, dtype=float)
     r[1:] = np.maximum(r[1:], 0.0)
     if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
-    s, Hr, grad, hess = _newton_state(cache, H, r)
-    converged, pg_norm, pinned = _stationarity(r, grad, Hr)
-    it = 0
-    for it in range(1, INNER_MAX_ITER + 1):
-        if converged:
+    for it in range(1, INNER_MAX_ITER + 2):
+        s, Hr, grad, hess = _newton_state(cache, H, r)
+        converged, pg_norm, pinned = _stationarity(r, grad, Hr)
+        if converged or it > INNER_MAX_ITER:
             break
         if pinned.any():
             free = ~pinned
@@ -335,9 +335,7 @@ def fit_inner(cache, log_lambdas, r0=None):
         else:
             break   # no acceptable step: leave unconverged
         r = cand
-        s, Hr, grad, hess = _newton_state(cache, H, r)
-        converged, pg_norm, pinned = _stationarity(r, grad, Hr)
-    return r, it, converged, pg_norm
+    return r, min(it, INNER_MAX_ITER), converged, pg_norm
 
 
 # -- effective degrees of freedom and outer objective -----------------------
@@ -436,7 +434,7 @@ def outer_objective(cache, log_lambdas, r0=None):
         nll=nll_value, edf=total, aicc=aicc,
         log_lambdas=np.array(log_lambdas, dtype=float),
         inner_iters=iters, converged=conv, inner_grad_norm=pg,
-        edf_blocks=blocks, n=cache.n, raw_basis=cache.m + cache.p,
+        edf_blocks=blocks, design=cache,
     )
     return aicc, report, r_hat
 

@@ -10,7 +10,7 @@ split.
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class Ensemble:
         if not np.all(np.isfinite(data)):
             raise ValueError("ensemble contains non-finite entries")
         self.data = data
-        self.names = list(names) if names is not None \
-            else [f"x{j}" for j in range(data.shape[1])]
+        self.names = _names(names, data.shape[1])
         if len(self.names) != data.shape[1]:
             raise ValueError("one name per variable required")
 
@@ -52,6 +51,15 @@ class Ensemble:
     @property
     def dim(self):
         return self.data.shape[1]
+
+
+def _names(names, dim):
+    """Variable names: a list of strings, or x0, x1, ... when ``names`` is None."""
+    if names is None:
+        return [f"x{j}" for j in range(dim)]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"names must be a list of strings, not {names!r}")
+    return list(names)
 
 
 def permute_ensemble(ensemble, order):
@@ -76,6 +84,20 @@ def _check_ranges(config, **bounds):
             raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
 
 
+def _check_fields(config, **bounds):
+    """Check the int and bool fields of dataclass ``config``, then ``bounds``
+    as ``_check_ranges`` does. An int field takes Python and numpy ints but
+    not bools, a bool field Python and numpy bools, and None passes where it
+    is the default; ValueError names the first field that fails."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type not in (int, bool) or value is None and f.default is None:
+            continue
+        if not (_is_int(value) if f.type is int else isinstance(value, (bool, np.bool_))):
+            raise ValueError(f"{f.name} must be {f.type.__name__}, not {value!r}")
+    _check_ranges(config, **bounds)
+
+
 @dataclass
 class MapFitConfig:
     """Settings for fitting a triangular map."""
@@ -90,7 +112,7 @@ class MapFitConfig:
     init_log_lambdas: list = field(default_factory=list, repr=False)  # warm starts
 
     def __post_init__(self):
-        _check_ranges(self, num_real_knots=(2, np.inf), max_outer=(0, np.inf),
+        _check_fields(self, num_real_knots=(2, np.inf), max_outer=(0, np.inf),
                       block_split=(0, np.inf), init_log_lambda=LOG_LAMBDA_BOUNDS,
                       monotone_log_lambda=LOG_LAMBDA_BOUNDS)
         low, high = LOG_LAMBDA_BOUNDS
@@ -141,8 +163,7 @@ class TriangularMap:
         self.center = np.asarray(center, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.dim = self.center.size
-        self.names = list(names) if names is not None \
-            else [f"x{j}" for j in range(self.dim)]
+        self.names = _names(names, self.dim)
         self.block_split = int(block_split)
 
     # -- helpers ------------------------------------------------------------
@@ -292,9 +313,6 @@ class TriangularMap:
         if not _is_int(doc["block_split"]):
             raise ValueError(f"saved map block_split must be an integer, "
                              f"not {doc['block_split']!r}")
-        if not isinstance(doc["names"], list) or \
-                not all(isinstance(name, str) for name in doc["names"]):
-            raise ValueError(f"saved map names must be a list of strings, not {doc['names']!r}")
         tri = cls(comps, np.array(doc["center"]), np.array(doc["scale"]),
                   doc["names"], doc["block_split"])
         if not doc["dim"] == tri.dim == tri.scale.size == len(tri.names) == len(comps):

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import FIT_FAILURES, LOG_LAMBDA_BOUNDS, outer_objective
-from .tmap import Ensemble, MapFitConfig, _check_ranges, _component_design, \
-    _component_from_fit, fit
+from .tmap import Ensemble, MapFitConfig, _check_fields, _component_from_fit, fit
 
 logger = logging.getLogger(__name__)
 
@@ -31,8 +30,6 @@ def sample_wavy(n, seed):
     x1 ~ N(0,1) and x2 = sin(3 x1) + 0.25 eps with eps ~ N(0,1).
     Pass a different ``generator`` to WavyConfig to study other targets.
     """
-    if n < 8:
-        raise ValueError("need at least 8 samples")
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal(n)
     x2 = np.sin(3.0 * x1) + 0.25 * rng.standard_normal(n)
@@ -53,7 +50,7 @@ class WavyConfig:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        _check_ranges(self, n=(8, np.inf), num_real_knots=(2, np.inf), seed=(0, np.inf),
+        _check_fields(self, n=(8, np.inf), num_real_knots=(2, np.inf), seed=(0, np.inf),
                       num_pullback=(0, np.inf), fixed_monotone_log_lambda=LOG_LAMBDA_BOUNDS)
         if self.grid.ndim != 1 or not self.grid.size or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be non-empty and strictly ascending")
@@ -89,14 +86,13 @@ def profile_lambda(config=None):
     config = config or WavyConfig()
     ensemble = config.generator(config.n, config.seed)
     # the map fit fixes every monotone lambda and adapts S2's nonmonotone
-    # one (the gradient-based result); its standardized coordinates are
-    # shared by all grid points, so build the second-component design once
-    map_config = MapFitConfig(
+    # one (the gradient-based result); every grid point refits S2 on the
+    # design that fit built
+    tri, reports = fit(ensemble, [[], [0]], MapFitConfig(
         num_real_knots=config.num_real_knots,
         monotone_log_lambda=config.fixed_monotone_log_lambda,
-    )
-    tri, reports = fit(ensemble, [[], [0]], map_config)
-    cache, parents = _component_design(tri._std(ensemble.data), 1, [0], map_config)
+    ))
+    cache, parents = reports[1].design, tri.components[1].parents
 
     table = np.full((config.grid.size, 4), np.nan)
     fits = {}

@@ -266,5 +266,6 @@ def test_flat_tail_beyond_range_not_invertible(side, data):
     margin = np.max(np.abs(comp.beta_mon_raw)) + np.max(np.abs(comp.beta_non))
     row = np.array([[0.0, edge]])
     z = comp.eval_many(row) + (margin if side == "right" else -margin)
-    with pytest.raises(NotInvertibleError):
+    where = "left tail; target below" if side == "left" else "right tail; target above"
+    with pytest.raises(NotInvertibleError, match=f"flat {where} range: member 0, target"):
         comp.invert_many(row, z)

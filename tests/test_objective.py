@@ -129,6 +129,16 @@ def test_inner_solver_converges_and_is_stationary(cache):
     assert np.all(grad[~free] >= -1e-7)
 
 
+def test_inner_iterations_count_passes(cache, monkeypatch):
+    """A start at its own optimum takes one pass; a solve stopped by the cap
+    reports the cap."""
+    logl = np.array([1.0, 1.0])
+    r_hat = fit_inner(cache, logl)[0]
+    assert fit_inner(cache, logl, r0=r_hat)[1:3] == (1, True)
+    monkeypatch.setattr(objective, "INNER_MAX_ITER", 2)
+    assert fit_inner(cache, logl)[1:3] == (2, False)
+
+
 def test_inner_solution_beats_perturbations(cache):
     logl = np.array([1.0, 1.0])
     r_hat, _, _, _ = fit_inner(cache, logl)
@@ -429,10 +439,12 @@ def test_adapt_mask_keeps_monotone_fixed(cache):
 
 def test_report_fields(cache):
     _, report, _ = outer_objective(cache, np.array([1.0, 1.0]))
-    assert report.n == 100
-    assert report.raw_basis == cache.m + cache.p
+    design = report.design
+    assert design is cache and design.n == 100
+    assert design.m + design.p == \
+        sum(b.num_basis for b in design.non_bases) + design.mon_basis.num_basis
     assert report.edf_blocks.size == 2
     assert report.aicc == pytest.approx(
         report.nll + report.edf + report.edf * (report.edf + 1)
-        / (report.n - report.edf - 1)
+        / (design.n - report.edf - 1)
     )

@@ -13,6 +13,7 @@ except ImportError:   # numpy < 2
 
 from pstransport import tmap
 from pstransport.component import MapComponent, NotInvertibleError
+from pstransport.lorenz63 import Lorenz63Params
 from pstransport.objective import BarrierViolationError, ModelTooComplexError, \
     outer_objective
 from pstransport.splines import DegenerateDimensionError, KnotVector, SplineBasis
@@ -23,6 +24,7 @@ from pstransport.tmap import (
     fit,
     permute_ensemble,
 )
+from pstransport.wavy import WavyConfig
 
 
 def gaussian_ensemble(n, rho=0.8, seed=0, dim=2):
@@ -49,6 +51,12 @@ def test_ensemble_validation():
         Ensemble(bad)
     with pytest.raises(ValueError):
         Ensemble(np.zeros((10, 2)), names=["only-one"])
+    for names in ("ab", [0, 1]):
+        with pytest.raises(ValueError, match="names must be a list of strings"):
+            Ensemble(np.zeros((10, 2)), names)
+    default = ["x0", "x1"]
+    assert Ensemble(np.zeros((10, 2))).names == default
+    assert TriangularMap([None, None], np.zeros(2), np.ones(2)).names == default
 
 
 def test_permute_ensemble():
@@ -106,6 +114,32 @@ def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
                                          "init_log_lambdas needs one entry per variable"):
         fit(gaussian_ensemble(50, dim=dim), [[]] + [[0]] * (dim - 1), MapFitConfig(**config))
     assert not calls
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (MapFitConfig, {"block_split": 1.5}),
+    (MapFitConfig, {"max_outer": 2.5}),
+    (MapFitConfig, {"num_real_knots": 4.5}),
+    (MapFitConfig, {"adapt": "false"}),
+    (MapFitConfig, {"fit_upper": "no"}),
+    (Lorenz63Params, {"steps": 2.5}),
+    (WavyConfig, {"n": 30.5}),
+])
+def test_configs_reject_mistyped_int_and_bool_fields(cls, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        cls(**kwargs)
+
+
+def test_configs_take_numpy_ints_and_bools_and_default_none():
+    config = MapFitConfig(num_real_knots=None, max_outer=np.int64(3), adapt=np.bool_(False),
+                          fit_upper=np.True_, block_split=np.int32(1))
+    assert config == MapFitConfig(max_outer=3, adapt=False, block_split=1)
+    assert Lorenz63Params(steps=np.int64(4)).steps == 4
+    assert WavyConfig(n=np.int64(40)).n == 40
+    for cls, kwargs in ((MapFitConfig, {"max_outer": True}), (WavyConfig, {"seed": None})):
+        with pytest.raises(ValueError, match="must be int"):
+            cls(**kwargs)
 
 
 def test_fixed_monotone_regime_keeps_monotone_lambda():

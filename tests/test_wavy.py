@@ -89,6 +89,20 @@ def test_profile_adapts_once_through_the_map_fit(monkeypatch):
     assert res.adapted_log_lambda == logl[0]
 
 
+def test_profile_builds_one_design_per_component(monkeypatch):
+    """The grid refits S2 on the design the map fit built."""
+    init = objective.DesignCache.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(objective.DesignCache, "__init__", counted)
+    profile_lambda(WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10))
+    assert len(built) == 2
+
+
 def test_clouds_emitted_at_five_lambdas(profile):
     assert len(profile.clouds) == 5
     for cloud in profile.clouds.values():
