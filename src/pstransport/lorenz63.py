@@ -48,7 +48,10 @@ class Lorenz63Params:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, not {value!r}")
-        if self.substeps < 1 or abs(self.obs_interval / self.dt - self.substeps) > 1e-9:
+        ratio = self.obs_interval / self.dt
+        if not np.isfinite(ratio):
+            raise ValueError(f"obs_interval / dt must be finite, not {ratio!r}")
+        if self.substeps < 1 or abs(ratio - self.substeps) > 1e-9:
             raise ValueError("obs_interval must be a positive integer multiple of dt")
 
     @property
@@ -178,6 +181,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
                     )
                     warm[v] = [r.log_lambdas for r in reports]
                     fractions.append([r.edf / (r.design.m + r.design.p) for r in reports])
+                    del reports   # their designs are not held through the next fit
                 else:
                     members = linear_baseline_update(members, y_all[v], y_pred, v)
         except (*FIT_FAILURES, RuntimeError, FloatingPointError,

@@ -17,8 +17,10 @@ solver judges steps on exact objective differences. One assembler
 builds the joint Hessian over (beta_non, free raw coordinates); its
 diagonal blocks give the per-block effective degrees of freedom.
 
-Smoothing parameters are adapted by descending an AICc outer objective
-whose gradient is computed with the implicit function theorem; every
+Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
+AICc outer objective inside a trust radius. Its gradient, and the slope of
+the inner optimum that predicts each trial's inner start, are computed
+with the implicit function theorem; every
 analytic derivative here is validated against finite differences in the
 test suite.
 
@@ -258,18 +260,25 @@ def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
 
 
 def _newton_state(cache, H, r):
-    """Slopes ``s``, ``H r``, gradient and Hessian of the reduced objective at r."""
+    """Slopes ``s``, ``H r`` and the gradient of the reduced objective at r."""
     s = _slopes(cache, r)
     Hr = H @ r
+    return s, Hr, Hr - cache.W.T @ (1.0 / s)
+
+
+def _newton_hessian(cache, H, s):
+    """Hessian of the reduced objective where the slopes are ``s``: H plus the
+    barrier Gram ``(W/s)'(W/s)``."""
     Ws = cache.W / s[:, None]
-    return s, Hr, Hr - cache.W.T @ (1.0 / s), H + Ws.T @ Ws
+    return H + Ws.T @ Ws
 
 
 def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     r = np.asarray(beta_mon_raw, dtype=float)
-    s, Hr, grad, hess = _newton_state(cache, cache.profile_operators(log_lambdas)[0], r)
-    return 0.5 * float(r @ Hr) - float(np.sum(np.log(s))), grad, hess
+    H = cache.profile_operators(log_lambdas)[0]
+    s, Hr, grad = _newton_state(cache, H, r)
+    return 0.5 * float(r @ Hr) - float(np.sum(np.log(s))), grad, _newton_hessian(cache, H, s)
 
 
 # -- inner solver -----------------------------------------------------------
@@ -302,10 +311,11 @@ def fit_inner(cache, log_lambdas, r0=None):
     if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
     for it in range(1, INNER_MAX_ITER + 2):
-        s, Hr, grad, hess = _newton_state(cache, H, r)
+        s, Hr, grad = _newton_state(cache, H, r)
         converged, pg_norm, pinned = _stationarity(r, grad, Hr)
         if converged or it > INNER_MAX_ITER:
             break
+        hess = _newton_hessian(cache, H, s)
         if pinned.any():
             free = ~pinned
             Hf, gf = hess[np.ix_(free, free)], grad[free]
@@ -367,7 +377,7 @@ def _factored_hessian(cache, r_hat, log_lambdas):
     free[1:] = r_hat[1:] > PIN_TOL
     ff = np.ix_(free, free)
     s = _slopes(cache, r_hat)
-    Wf = cache.W[:, free]
+    Wf = cache.W if free.all() else cache.W[:, free]
     Ws = Wf / s[:, None]
     m = cache.m
     k = m + Wf.shape[1]
@@ -448,6 +458,13 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     """
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
+    return _outer_gradient_and_slope(cache, log_lambdas, r_hat)[0]
+
+
+def _outer_gradient_and_slope(cache, log_lambdas, r_hat):
+    """``outer_gradient`` at the inner optimum ``r_hat`` together with
+    ``d r_hat / d log_lambdas`` (p x blocks, zero rows where an increment is
+    pinned): both come from the one implicit-function solve."""
     _, D, lambdas = cache.profile_operators(log_lambdas)
     Hu, Pen, blocks, free, Wf, s, factors, traces = \
         _factored_hessian(cache, r_hat, log_lambdas)
@@ -472,12 +489,26 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))
                      for lam, (_, gram), (chol, W) in zip(lambdas, blocks, factors)])
-    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta)
+    slope = np.zeros((r_hat.size, len(blocks)))
+    slope[free] = dbeta[cache.m:]
+    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta), slope
 
 
 # -- outer optimizer --------------------------------------------------------
 
 LOG_LAMBDA_BOUNDS = (-15.0, 15.0)
+RADIUS_MAX = 4.0       # largest infinity-norm log-lambda step of the outer search
+CURVATURE_TOL = 1e-8   # BFGS pairs need s'y above this fraction of |s| |y|
+
+
+def _predicted_start(cache, r_hat, slope, step):
+    """Inner start at ``log_lambdas + step`` predicted to first order from the
+    optimum ``r_hat`` and its slope ``d r_hat / d log_lambdas``: increments
+    clipped at zero, and ``r_hat`` itself where the prediction leaves the
+    barrier domain."""
+    r0 = r_hat + slope @ step
+    r0[1:] = np.maximum(r0[1:], 0.0)
+    return r0 if (cache.W @ r0).min() > 0 else r_hat
 
 
 def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
@@ -487,17 +518,30 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     and at most ``max_outer`` steps are accepted. With no block selected
     the start is scored once and returned. Each pass takes the masked
     outer gradient at the current point, the one it would return, and
-    stops there on the gradient, objective or cap test, in that order. A
-    trial step that rounds back to the current point ends the line search
-    unscored. Returns (log_lambdas, report, r_hat).
+    stops there on the gradient, objective or cap test, in that order.
+
+    Steps follow BFGS: the inverse Hessian approximation starts at the
+    identity, is scaled by s'y / y'y at its first update, is updated only
+    on pairs of positive curvature and is reset when it gives no descent
+    direction. Each step is cut to an infinity-norm radius that starts at
+    one log-lambda unit, doubles up to ``RADIUS_MAX`` after an accepted
+    step it cut and halves, not below one unit, after a backtrack: an
+    uncapped step can tunnel across an AICc barrier into the degenerate
+    small-lambda valley that exists for nearly collinear parents. Steps
+    are halved until they pass the Armijo test; a trial that rounds back
+    to the current point ends the line search unscored. Each trial's inner
+    solve starts from the implicit-function prediction of its optimum.
+    Returns (log_lambdas, report, r_hat).
     """
     logl = np.array(log_lambdas0, dtype=float)
     mask = np.asarray(adapt_mask, dtype=bool)
     value, report, r_hat = outer_objective(cache, logl)
     stop, grad_norm = "fixed", np.nan
-    steps, gain, alpha = 0, np.inf, 1.0
+    steps, gain, radius = 0, np.inf, 1.0
+    inv_hess, last_step, last_grad = None, None, None   # None: the identity
     while mask.any():
-        grad = np.where(mask, outer_gradient(cache, logl, r_hat=r_hat), 0.0)
+        full, slope = _outer_gradient_and_slope(cache, logl, r_hat)
+        grad = np.where(mask, full, 0.0)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= OUTER_TOL_GRAD:
             stop = "gradient"
@@ -508,28 +552,45 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
         if steps >= max_outer:
             stop = "cap"
             break
-        # trust-region cap: at most one log-lambda unit per outer step,
-        # so descent cannot tunnel across an AICc barrier into the
-        # degenerate small-lambda valley that exists for nearly
-        # collinear parents
-        alpha = min(max(alpha * 2.0, 1e-3), 1.0 / max(np.abs(grad).max(), 1e-12))
-        accepted = False
-        for _ in range(30):
-            trial = np.clip(logl - alpha * grad, *LOG_LAMBDA_BOUNDS)
+        if last_step is not None:
+            y = grad - last_grad
+            sy = float(last_step @ y)
+            if sy > CURVATURE_TOL * np.linalg.norm(last_step) * np.linalg.norm(y):
+                if inv_hess is None:
+                    inv_hess = sy / float(y @ y) * np.eye(logl.size)
+                v = np.eye(logl.size) - np.outer(last_step, y) / sy
+                inv_hess = v @ inv_hess @ v.T + np.outer(last_step, last_step) / sy
+        direction = -grad if inv_hess is None else -inv_hess @ grad
+        if direction @ grad >= 0:
+            inv_hess, direction = None, -grad
+        longest = np.abs(direction).max()
+        cut = longest > radius
+        if cut:
+            direction *= radius / longest
+        slope_along = float(grad @ direction)
+        alpha, accepted = 1.0, False
+        for halvings in range(30):
+            trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
             if np.array_equal(trial, logl):
                 break   # the step is below the rounding of log-lambda
+            r0 = _predicted_start(cache, r_hat, slope, trial - logl)
             try:
-                v_new, rep_new, r_new = outer_objective(cache, trial, r0=r_hat)
+                v_new, rep_new, r_new = outer_objective(cache, trial, r0=r0)
             except FIT_FAILURES:
                 v_new = np.inf   # fails the Armijo test: halve the step
-            accepted = v_new <= value - 1e-4 * alpha * grad_norm ** 2
+            accepted = v_new <= value + 1e-4 * alpha * slope_along
             if accepted:
                 break
             alpha *= 0.5
         if not accepted:
             stop = "line_search"
             break
+        if halvings:
+            radius = max(radius / 2.0, 1.0)
+        elif cut:
+            radius = min(radius * 2.0, RADIUS_MAX)
         gain = value - v_new
+        last_step, last_grad = trial - logl, grad
         logl, value, report, r_hat = trial, v_new, rep_new, r_new
         steps += 1
     report.outer_iters = steps

@@ -164,6 +164,8 @@ class TriangularMap:
         self.scale = np.asarray(scale, dtype=float)
         self.dim = self.center.size
         self.names = _names(names, self.dim)
+        if not _is_int(block_split):
+            raise ValueError(f"block_split must be an integer, not {block_split!r}")
         self.block_split = int(block_split)
 
     # -- helpers ------------------------------------------------------------
@@ -310,9 +312,6 @@ class TriangularMap:
                 np.array(cd["beta_non"]), np.array(cd["beta_mon_raw"]),
                 None if cd["log_lambdas"] is None else np.array(cd["log_lambdas"]),
             ))
-        if not _is_int(doc["block_split"]):
-            raise ValueError(f"saved map block_split must be an integer, "
-                             f"not {doc['block_split']!r}")
         tri = cls(comps, np.array(doc["center"]), np.array(doc["scale"]),
                   doc["names"], doc["block_split"])
         if not doc["dim"] == tri.dim == tri.scale.size == len(tri.names) == len(comps):
@@ -366,6 +365,11 @@ def fit(ensemble, parent_sets, config=None):
     if warm and len(warm) != ensemble.dim:
         raise ValueError(f"init_log_lambdas needs one entry per variable ({ensemble.dim}), "
                          f"not {len(warm)}")
+    for j, start in enumerate(warm):
+        blocks = len(parent_sets[j]) + 1
+        if start is not None and np.shape(start) != (blocks,):
+            raise ValueError(f"init_log_lambdas[{j}] needs one entry per block ({blocks}), "
+                             f"not {start!r}")
     tri = TriangularMap([None] * ensemble.dim, *_standardization(ensemble.data),
                         ensemble.names, config.block_split)
     Z = tri._std(ensemble.data)

@@ -21,6 +21,8 @@ def test_params_validation():
         Lorenz63Params(dt=0.04, obs_interval=0.1)   # not an integer multiple
     with pytest.raises(ValueError, match="positive integer multiple"):
         Lorenz63Params(dt=0.05, obs_interval=1e-12)   # no model step between observations
+    with pytest.raises(ValueError, match="obs_interval / dt must be finite"):
+        Lorenz63Params(dt=5e-324)   # the step count per observation overflows
     assert Lorenz63Params().substeps == 2
 
 
@@ -211,16 +213,18 @@ def test_inner_solves_converge_in_filter_runs(monkeypatch):
 
 
 def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
-    """A halved step that rounds back to the current log-lambdas ends the line
-    search as "line_search" instead of rescoring that point and accepting it.
-    In the seed-1 n=50 run the two-parent S4 fits of the last two cycles
-    stop there, and no search takes two outer gradients at one point."""
-    gradient, adapt = objective.outer_gradient, tmap.adapt_lambdas
+    """A trial step that rounds or clips back to the current log-lambdas ends
+    the line search as "line_search" instead of rescoring that point and
+    accepting it.
+    In the seed-1 n=50 run the two-parent S4 fits of the last three cycles
+    stop there, at the small-lambda corner of the bounds, and no search takes
+    two outer gradients at one point."""
+    gradient, adapt = objective._outer_gradient_and_slope, tmap.adapt_lambdas
     paths, reports = [], []
 
-    def recorded_gradient(cache, log_lambdas, r_hat=None):
+    def recorded_gradient(cache, log_lambdas, r_hat):
         paths[-1].append(np.array(log_lambdas))
-        return gradient(cache, log_lambdas, r_hat=r_hat)
+        return gradient(cache, log_lambdas, r_hat)
 
     def recorded_adapt(*args):
         paths.append([])
@@ -228,11 +232,11 @@ def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
         reports.append(result[1])
         return result
 
-    monkeypatch.setattr(objective, "outer_gradient", recorded_gradient)
+    monkeypatch.setattr(objective, "_outer_gradient_and_slope", recorded_gradient)
     monkeypatch.setattr(tmap, "adapt_lambdas", recorded_adapt)
     run_filter(Lorenz63Params(steps=8), 50, seed=1)
     assert len(reports) == 8 * 3 * 3   # cycles x observed variables x S2..S4
     assert not any(np.array_equal(a, b) for path in paths for a, b in zip(path, path[1:]))
     stops = [r.stop_reason for r in reports]
     assert [k for k, stop in enumerate(stops) if stop == "line_search"] == \
-        [k for k in range(54, 72) if k % 3 == 2]
+        [k for k in range(45, 72) if k % 3 == 2]

@@ -329,7 +329,7 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
     counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
     states = kept_states(monkeypatch)
     score = objective.outer_objective
-    gradient = objective.outer_gradient
+    gradient = objective._outer_gradient_and_slope
 
     def counted_score(*args, **kwargs):
         counts["objective"] += 1
@@ -343,7 +343,7 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
         return out
 
     monkeypatch.setattr(objective, "outer_objective", counted_score)
-    monkeypatch.setattr(objective, "outer_gradient", counted_gradient)
+    monkeypatch.setattr(objective, "_outer_gradient_and_slope", counted_gradient)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
     assert assembled(states) == counts["objective"]
@@ -399,16 +399,16 @@ def test_report_describes_the_returned_point(cache, monkeypatch, mask, max_outer
     and outer_iters counts accepted steps: the search takes one outer
     gradient per accepted step and one at the point it returns."""
     calls = []
-    gradient = objective.outer_gradient
+    gradient = objective._outer_gradient_and_slope
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return gradient(*args, **kwargs)
 
-    monkeypatch.setattr(objective, "outer_gradient", counted)
+    monkeypatch.setattr(objective, "_outer_gradient_and_slope", counted)
     mask = np.array(mask)
     logl, report, r_hat = adapt_lambdas(cache, np.full(2, 2.0), mask, max_outer)
-    assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, logl, r_hat), 0))
+    assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, logl, r_hat)[0], 0))
     assert report.outer_iters == len(calls) - 1
     assert np.array_equal(calls[-1], logl)
     assert report.stop_reason in ("gradient", "objective", "cap")
@@ -424,11 +424,42 @@ def test_unsearched_fits_report_cap_or_fixed(cache, monkeypatch):
     _, capped, _ = adapt_lambdas(cache, start, np.ones(2, bool), 0)
     assert (capped.stop_reason, capped.outer_iters) == ("cap", 0)
     assert np.isfinite(capped.grad_norm)
-    monkeypatch.setattr(objective, "outer_gradient", None)   # must not be called
+    monkeypatch.setattr(objective, "_outer_gradient_and_slope", None)   # must not be called
     _, fixed, _ = adapt_lambdas(cache, start, np.zeros(2, bool), 50)
     assert (fixed.stop_reason, fixed.outer_iters) == ("fixed", 0)
     assert np.isnan(fixed.grad_norm)
     assert fixed.inner_grad_norm == capped.inner_grad_norm == fit_inner(cache, start)[3]
+
+
+def test_search_stops_on_gradient_where_steepest_descent_capped():
+    """On this design steepest descent with a one-unit step cap used all 10
+    steps and stopped at outer gradient norm 2e-3; the quasi-Newton search
+    meets the gradient test within them."""
+    _, report, _ = adapt_lambdas(gaussian_cache(n=200), np.full(2, 2.0), np.ones(2, bool), 10)
+    assert report.stop_reason == "gradient"
+    assert report.outer_iters < 10
+    assert report.grad_norm <= objective.OUTER_TOL_GRAD
+
+
+@pytest.mark.parametrize("make, logl, step", [
+    (gaussian_cache, [2.0, 2.0], [-0.5, 0.7]),
+    (lambda: gaussian_cache(n=200), [2.0, 2.0], [1.0, -1.0]),
+    (two_parent_cache, [0.5, -1.0, 1.5], [0.4, -0.3, 0.6]),
+])
+def test_predicted_inner_start_reaches_the_same_optimum(make, logl, step):
+    """The inner solve at log-lambdas + step started from the implicit-function
+    prediction reaches the optimum it reaches from r_hat, to the inner
+    tolerance, in fewer passes."""
+    cache, logl, step = make(), np.array(logl), np.array(step)
+    r_hat = fit_inner(cache, logl)[0]
+    slope = objective._outer_gradient_and_slope(cache, logl, r_hat)[1]
+    r0 = objective._predicted_start(cache, r_hat, slope, step)
+    assert r0 is not r_hat
+    predicted, iters, converged, _ = fit_inner(cache, logl + step, r0=r0)
+    plain, plain_iters, plain_converged, _ = fit_inner(cache, logl + step, r0=r_hat)
+    assert converged and plain_converged
+    assert np.abs(predicted - plain).max() <= objective.INNER_TOL * np.abs(plain).max()
+    assert iters < plain_iters
 
 
 def test_adapt_mask_keeps_monotone_fixed(cache):

@@ -14,8 +14,8 @@ except ImportError:   # numpy < 2
 from pstransport import tmap
 from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.lorenz63 import Lorenz63Params
-from pstransport.objective import BarrierViolationError, ModelTooComplexError, \
-    outer_objective
+from pstransport.objective import OUTER_TOL_GRAD, BarrierViolationError, \
+    ModelTooComplexError, outer_objective
 from pstransport.splines import DegenerateDimensionError, KnotVector, SplineBasis
 from pstransport.tmap import (
     Ensemble,
@@ -59,6 +59,14 @@ def test_ensemble_validation():
     assert TriangularMap([None, None], np.zeros(2), np.ones(2)).names == default
 
 
+@pytest.mark.parametrize("split", [1.5, True, "1"])
+def test_map_rejects_a_non_integer_block_split(split):
+    with pytest.raises(ValueError, match="block_split must be an integer"):
+        TriangularMap([None, None], np.zeros(2), np.ones(2), block_split=split)
+    assert TriangularMap([None, None], np.zeros(2), np.ones(2),
+                         block_split=np.int64(1)).block_split == 1
+
+
 def test_permute_ensemble():
     ens = Ensemble(np.arange(20.0).reshape(10, 2), ["a", "b"])
     per = permute_ensemble(ens, [1, 0])
@@ -96,12 +104,14 @@ def test_parent_indices_must_be_integers(parent):
     (2, {"init_log_lambdas": [[-15.5], None]}),
     (3, {"init_log_lambdas": [None, [1.0, 1.0]]}),
     (2, {"init_log_lambdas": [None, [1.0, 1.0], [1.0, 1.0]]}),
+    (3, {"init_log_lambdas": [None, [1.0], None]}),
+    (3, {"init_log_lambdas": [None, None, [1.0, 1.0, 1.0]]}),
 ])
 def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
     """A negative setting or a warm start outside the log-lambda bounds fails
-    when the config is built, a block split past the variables or a warm-start
-    list without one entry per variable when the fit sees the data; all before
-    any fit."""
+    when the config is built, a block split past the variables, a warm-start
+    list without one entry per variable or a warm start without one entry per
+    block of its component when the fit sees the data; all before any fit."""
     calls = []
     adapt = tmap.adapt_lambdas
 
@@ -110,8 +120,8 @@ def test_out_of_range_settings_raise_before_any_fit(monkeypatch, dim, config):
         return adapt(*args, **kwargs)
 
     monkeypatch.setattr(tmap, "adapt_lambdas", recorded)
-    with pytest.raises(ValueError, match="(block_split|max_outer|init_log_lambdas) must lie in|"
-                                         "init_log_lambdas needs one entry per variable"):
+    with pytest.raises(ValueError, match=r"(block_split|max_outer|init_log_lambdas) must lie in|"
+                                         r"init_log_lambdas(\[\d\])? needs one entry per"):
         fit(gaussian_ensemble(50, dim=dim), [[]] + [[0]] * (dim - 1), MapFitConfig(**config))
     assert not calls
 
@@ -184,12 +194,20 @@ def test_fit_does_not_depend_on_units_or_offsets():
 
 
 def test_default_fit_reports_why_it_stopped():
+    """Each reported reason holds at the returned point. The gradient test
+    comes first, so only a "gradient" stop has a norm within its tolerance;
+    the objective test needs an accepted step, and "cap" means max_outer
+    accepted steps."""
     config = MapFitConfig()
     _, reports = fit(gaussian_ensemble(200, dim=3), [[], [0], [0, 1]], config)
     for report in reports:
-        assert report.stop_reason in ("objective", "cap")
+        assert report.stop_reason in ("gradient", "objective", "cap")
+        assert (report.grad_norm <= OUTER_TOL_GRAD) == (report.stop_reason == "gradient")
+        assert report.outer_iters <= config.max_outer
         if report.stop_reason == "cap":
             assert report.outer_iters == config.max_outer
+        if report.stop_reason == "objective":
+            assert report.outer_iters >= 1
 
 
 def test_fixed_fit_scores_its_start():
