@@ -18,9 +18,9 @@ builds the joint Hessian over (beta_non, free raw coordinates); its
 diagonal blocks give the per-block effective degrees of freedom.
 
 Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
-AICc outer objective inside a trust radius. Its gradient, and the slope of
-the inner optimum that predicts each trial's inner start, are computed
-with the implicit function theorem; every
+AICc outer objective inside a trust radius. Its gradient, and the
+sensitivity of the inner optimum that predicts each trial's inner start,
+are computed with the implicit function theorem; every
 analytic derivative here is validated against finite differences in the
 test suite.
 
@@ -458,13 +458,13 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     """
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
-    return _outer_gradient_and_slope(cache, log_lambdas, r_hat)[0]
+    return _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat)[0]
 
 
-def _outer_gradient_and_slope(cache, log_lambdas, r_hat):
-    """``outer_gradient`` at the inner optimum ``r_hat`` together with
-    ``d r_hat / d log_lambdas`` (p x blocks, zero rows where an increment is
-    pinned): both come from the one implicit-function solve."""
+def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
+    """``outer_gradient`` at the inner optimum ``r_hat`` together with its
+    sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows where an
+    increment is pinned): both come from the one implicit-function solve."""
     _, D, lambdas = cache.profile_operators(log_lambdas)
     Hu, Pen, blocks, free, Wf, s, factors, traces = \
         _factored_hessian(cache, r_hat, log_lambdas)
@@ -489,9 +489,9 @@ def _outer_gradient_and_slope(cache, log_lambdas, r_hat):
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))
                      for lam, (_, gram), (chol, W) in zip(lambdas, blocks, factors)])
-    slope = np.zeros((r_hat.size, len(blocks)))
-    slope[free] = dbeta[cache.m:]
-    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta), slope
+    dr = np.zeros((r_hat.size, len(blocks)))
+    dr[free] = dbeta[cache.m:]
+    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta), dr
 
 
 # -- outer optimizer --------------------------------------------------------
@@ -501,12 +501,12 @@ RADIUS_MAX = 4.0       # largest infinity-norm log-lambda step of the outer sear
 CURVATURE_TOL = 1e-8   # BFGS pairs need s'y above this fraction of |s| |y|
 
 
-def _predicted_start(cache, r_hat, slope, step):
+def _predicted_start(cache, r_hat, dr, step):
     """Inner start at ``log_lambdas + step`` predicted to first order from the
-    optimum ``r_hat`` and its slope ``d r_hat / d log_lambdas``: increments
-    clipped at zero, and ``r_hat`` itself where the prediction leaves the
-    barrier domain."""
-    r0 = r_hat + slope @ step
+    optimum ``r_hat`` at ``log_lambdas`` and its sensitivity ``dr``:
+    increments clipped at zero, and ``r_hat`` itself where the prediction
+    leaves the barrier domain (a nonpositive slope at some sample)."""
+    r0 = r_hat + dr @ step
     r0[1:] = np.maximum(r0[1:], 0.0)
     return r0 if (cache.W @ r0).min() > 0 else r_hat
 
@@ -538,9 +538,10 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     value, report, r_hat = outer_objective(cache, logl)
     stop, grad_norm = "fixed", np.nan
     steps, gain, radius = 0, np.inf, 1.0
-    inv_hess, last_step, last_grad = None, None, None   # None: the identity
+    inv_hess = None   # stands for the identity until the first BFGS update
+    last_step, last_grad = None, None
     while mask.any():
-        full, slope = _outer_gradient_and_slope(cache, logl, r_hat)
+        full, dr = _outer_gradient_and_sensitivity(cache, logl, r_hat)
         grad = np.where(mask, full, 0.0)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= OUTER_TOL_GRAD:
@@ -567,18 +568,18 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
         cut = longest > radius
         if cut:
             direction *= radius / longest
-        slope_along = float(grad @ direction)
+        directional = float(grad @ direction)
         alpha, accepted = 1.0, False
         for halvings in range(30):
             trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
             if np.array_equal(trial, logl):
                 break   # the step is below the rounding of log-lambda
-            r0 = _predicted_start(cache, r_hat, slope, trial - logl)
+            r0 = _predicted_start(cache, r_hat, dr, trial - logl)
             try:
                 v_new, rep_new, r_new = outer_objective(cache, trial, r0=r0)
             except FIT_FAILURES:
                 v_new = np.inf   # fails the Armijo test: halve the step
-            accepted = v_new <= value + 1e-4 * alpha * slope_along
+            accepted = v_new <= value + 1e-4 * alpha * directional
             if accepted:
                 break
             alpha *= 0.5

@@ -219,7 +219,7 @@ def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
     In the seed-1 n=50 run the two-parent S4 fits of the last three cycles
     stop there, at the small-lambda corner of the bounds, and no search takes
     two outer gradients at one point."""
-    gradient, adapt = objective._outer_gradient_and_slope, tmap.adapt_lambdas
+    gradient, adapt = objective._outer_gradient_and_sensitivity, tmap.adapt_lambdas
     paths, reports = [], []
 
     def recorded_gradient(cache, log_lambdas, r_hat):
@@ -232,7 +232,7 @@ def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
         reports.append(result[1])
         return result
 
-    monkeypatch.setattr(objective, "_outer_gradient_and_slope", recorded_gradient)
+    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", recorded_gradient)
     monkeypatch.setattr(tmap, "adapt_lambdas", recorded_adapt)
     run_filter(Lorenz63Params(steps=8), 50, seed=1)
     assert len(reports) == 8 * 3 * 3   # cycles x observed variables x S2..S4

@@ -329,7 +329,7 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
     counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
     states = kept_states(monkeypatch)
     score = objective.outer_objective
-    gradient = objective._outer_gradient_and_slope
+    gradient = objective._outer_gradient_and_sensitivity
 
     def counted_score(*args, **kwargs):
         counts["objective"] += 1
@@ -343,7 +343,7 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
         return out
 
     monkeypatch.setattr(objective, "outer_objective", counted_score)
-    monkeypatch.setattr(objective, "_outer_gradient_and_slope", counted_gradient)
+    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted_gradient)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
     assert assembled(states) == counts["objective"]
@@ -399,13 +399,13 @@ def test_report_describes_the_returned_point(cache, monkeypatch, mask, max_outer
     and outer_iters counts accepted steps: the search takes one outer
     gradient per accepted step and one at the point it returns."""
     calls = []
-    gradient = objective._outer_gradient_and_slope
+    gradient = objective._outer_gradient_and_sensitivity
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return gradient(*args, **kwargs)
 
-    monkeypatch.setattr(objective, "_outer_gradient_and_slope", counted)
+    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted)
     mask = np.array(mask)
     logl, report, r_hat = adapt_lambdas(cache, np.full(2, 2.0), mask, max_outer)
     assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, logl, r_hat)[0], 0))
@@ -424,7 +424,8 @@ def test_unsearched_fits_report_cap_or_fixed(cache, monkeypatch):
     _, capped, _ = adapt_lambdas(cache, start, np.ones(2, bool), 0)
     assert (capped.stop_reason, capped.outer_iters) == ("cap", 0)
     assert np.isfinite(capped.grad_norm)
-    monkeypatch.setattr(objective, "_outer_gradient_and_slope", None)   # must not be called
+    # must not be called
+    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", None)
     _, fixed, _ = adapt_lambdas(cache, start, np.zeros(2, bool), 50)
     assert (fixed.stop_reason, fixed.outer_iters) == ("fixed", 0)
     assert np.isnan(fixed.grad_norm)
@@ -452,8 +453,8 @@ def test_predicted_inner_start_reaches_the_same_optimum(make, logl, step):
     tolerance, in fewer passes."""
     cache, logl, step = make(), np.array(logl), np.array(step)
     r_hat = fit_inner(cache, logl)[0]
-    slope = objective._outer_gradient_and_slope(cache, logl, r_hat)[1]
-    r0 = objective._predicted_start(cache, r_hat, slope, step)
+    dr = objective._outer_gradient_and_sensitivity(cache, logl, r_hat)[1]
+    r0 = objective._predicted_start(cache, r_hat, dr, step)
     assert r0 is not r_hat
     predicted, iters, converged, _ = fit_inner(cache, logl + step, r0=r0)
     plain, plain_iters, plain_converged, _ = fit_inner(cache, logl + step, r0=r_hat)
