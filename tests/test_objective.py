@@ -424,8 +424,7 @@ def test_unsearched_fits_report_cap_or_fixed(cache, monkeypatch):
     _, capped, _ = adapt_lambdas(cache, start, np.ones(2, bool), 0)
     assert (capped.stop_reason, capped.outer_iters) == ("cap", 0)
     assert np.isfinite(capped.grad_norm)
-    # must not be called
-    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", None)
+    monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", None)   # must not be called
     _, fixed, _ = adapt_lambdas(cache, start, np.zeros(2, bool), 50)
     assert (fixed.stop_reason, fixed.outer_iters) == ("fixed", 0)
     assert np.isnan(fixed.grad_norm)
