@@ -27,7 +27,9 @@ test suite.
 Every Cholesky factor and solve calls LAPACK's ``dpotrf``/``dpotrs``
 directly: the systems are p x p and a fit makes dozens of them, so at
 small ensembles scipy's ``cho_factor``/``cho_solve`` argument handling
-costs more than the factorizations themselves.
+costs more than the factorizations themselves. Each matrix factored is
+positive definite by construction, so a failed factorization raises
+``LinAlgError`` (one of ``FIT_FAILURES``) and is never retried.
 """
 
 from dataclasses import dataclass, field
@@ -298,7 +300,11 @@ def _stationarity(r, grad, Hr):
 def fit_inner(cache, log_lambdas, r0=None):
     """Projected Newton on the reduced objective in raw coordinates, increments >= 0.
 
-    Steps are accepted on the exact change ``(H r).d + d'H d / 2 -
+    It starts from ``r0`` with increments clipped at 0, or from
+    ``cache.default_raw()`` if ``r0`` is None or has a nonpositive slope at a
+    sample. Each pass that steps factors the Newton matrix once; a failed
+    factorization raises ``LinAlgError``. Steps are accepted on the exact
+    change ``(H r).d + d'H d / 2 -
     sum log1p((W d) / s)``: where the monotone level and the parent
     constants are confounded, the value itself cancels to rounding noise.
 
@@ -322,16 +328,7 @@ def fit_inner(cache, log_lambdas, r0=None):
         else:
             free, Hf, gf = slice(None), hess, grad
         step = np.zeros_like(r)
-        boost = 0.0
-        for _ in range(8):
-            try:
-                Hb = Hf + boost * np.eye(Hf.shape[0]) if boost else Hf
-                step[free] = -_cho_solve(_cho_factor(Hb), gf)
-                break
-            except np.linalg.LinAlgError:
-                boost = max(1e-8, 10.0 * boost) * max(1.0, np.abs(np.diag(Hf)).max())
-        else:
-            step[free] = -gf
+        step[free] = -_cho_solve(_cho_factor(Hf), gf)
         alpha = 1.0
         for _ in range(40):
             cand = r + alpha * step
@@ -501,16 +498,6 @@ RADIUS_MAX = 4.0       # largest infinity-norm log-lambda step of the outer sear
 CURVATURE_TOL = 1e-8   # BFGS pairs need s'y above this fraction of |s| |y|
 
 
-def _predicted_start(cache, r_hat, dr, step):
-    """Inner start at ``log_lambdas + step`` predicted to first order from the
-    optimum ``r_hat`` at ``log_lambdas`` and its sensitivity ``dr``:
-    increments clipped at zero, and ``r_hat`` itself where the prediction
-    leaves the barrier domain (a nonpositive slope at some sample)."""
-    r0 = r_hat + dr @ step
-    r0[1:] = np.maximum(r0[1:], 0.0)
-    return r0 if (cache.W @ r0).min() > 0 else r_hat
-
-
 def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     """Descend the AICc outer objective over log smoothing parameters.
 
@@ -529,8 +516,9 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     uncapped step can tunnel across an AICc barrier into the degenerate
     small-lambda valley that exists for nearly collinear parents. Steps
     are halved until they pass the Armijo test; a trial that rounds back
-    to the current point ends the line search unscored. Each trial's inner
-    solve starts from the implicit-function prediction of its optimum.
+    to the current point ends the line search unscored, and a trial that
+    fails (``FIT_FAILURES``) scores infinity. Each trial's inner solve
+    starts from the implicit-function prediction of its optimum.
     Returns (log_lambdas, report, r_hat).
     """
     logl = np.array(log_lambdas0, dtype=float)
@@ -574,9 +562,9 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
             trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
             if np.array_equal(trial, logl):
                 break   # the step is below the rounding of log-lambda
-            r0 = _predicted_start(cache, r_hat, dr, trial - logl)
             try:
-                v_new, rep_new, r_new = outer_objective(cache, trial, r0=r0)
+                v_new, rep_new, r_new = outer_objective(
+                    cache, trial, r0=r_hat + dr @ (trial - logl))
             except FIT_FAILURES:
                 v_new = np.inf   # fails the Armijo test: halve the step
             accepted = v_new <= value + 1e-4 * alpha * directional

@@ -448,13 +448,12 @@ def test_search_stops_on_gradient_where_steepest_descent_capped():
 ])
 def test_predicted_inner_start_reaches_the_same_optimum(make, logl, step):
     """The inner solve at log-lambdas + step started from the implicit-function
-    prediction reaches the optimum it reaches from r_hat, to the inner
-    tolerance, in fewer passes."""
+    prediction r_hat + dr @ step (the start adapt_lambdas passes) reaches the
+    optimum it reaches from r_hat, to the inner tolerance, in fewer passes."""
     cache, logl, step = make(), np.array(logl), np.array(step)
     r_hat = fit_inner(cache, logl)[0]
     dr = objective._outer_gradient_and_sensitivity(cache, logl, r_hat)[1]
-    r0 = objective._predicted_start(cache, r_hat, dr, step)
-    assert r0 is not r_hat
+    r0 = r_hat + dr @ step
     predicted, iters, converged, _ = fit_inner(cache, logl + step, r0=r0)
     plain, plain_iters, plain_converged, _ = fit_inner(cache, logl + step, r0=r_hat)
     assert converged and plain_converged
