@@ -56,6 +56,7 @@ __all__ = [
 RIDGE = 1e-8           # unconditional ridge keeping the lambda -> 0 limit solvable
 PIN_TOL = 1e-12        # increments at or below this are treated as pinned at zero
 INNER_TOL = 1e-8       # relative projected-gradient tolerance of the inner solve
+ROUNDING_ULPS = 16     # ... floored at this many eps of the largest |H| |r| (rounding of H r)
 INNER_MAX_ITER = 500   # projected Newton iterations before the inner solve gives up
 OUTER_TOL_OBJ = 1e-6   # the outer search stops when a step gains at most this
 OUTER_TOL_GRAD = 1e-4  # ... or when the adapted outer gradient norm is at most this
@@ -286,27 +287,28 @@ def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
 # -- inner solver -----------------------------------------------------------
 
 
-def _stationarity(r, grad, Hr):
+def _stationarity(H, r, grad, Hr):
     """(converged, projected gradient norm, pinned mask); the test is scaled
-    by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``."""
+    by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``, and
+    floored at the rounding of ``H r``, which can exceed it at large lambda."""
     pinned = (r <= PIN_TOL) & (grad > 0)
     pinned[0] = False   # the level is unconstrained
     g = np.where(pinned, 0.0, grad)
     pg_norm = float(np.sqrt(g @ g))
     scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
-    return pg_norm <= INNER_TOL * scale, pg_norm, pinned
+    floor = ROUNDING_ULPS * np.finfo(float).eps * float((np.abs(H) @ np.abs(r)).max())
+    return pg_norm <= max(INNER_TOL * scale, floor), pg_norm, pinned
 
 
 def fit_inner(cache, log_lambdas, r0=None):
     """Projected Newton on the reduced objective in raw coordinates, increments >= 0.
 
-    It starts from ``r0`` with increments clipped at 0, or from
-    ``cache.default_raw()`` if ``r0`` is None or has a nonpositive slope at a
-    sample. Each pass that steps factors the Newton matrix once; a failed
-    factorization raises ``LinAlgError``. Steps are accepted on the exact
-    change ``(H r).d + d'H d / 2 -
-    sum log1p((W d) / s)``: where the monotone level and the parent
-    constants are confounded, the value itself cancels to rounding noise.
+    Starts from ``r0`` with increments clipped at 0, or from ``default_raw()``
+    if ``r0`` is None or then has a nonpositive slope. Each stepping pass
+    factors the Newton matrix once (a failure raises ``LinAlgError``) and
+    accepts steps on the exact change ``(H r).d + d'H d / 2 - sum log1p((W d)
+    / s)``: where the monotone level and the parent constants are
+    confounded, the value itself cancels to rounding noise.
 
     Returns (raw_parameters, iterations, converged, projected_grad_norm);
     iterations is 1 for a converged start and ``INNER_MAX_ITER`` at the cap.
@@ -318,7 +320,7 @@ def fit_inner(cache, log_lambdas, r0=None):
         r = cache.default_raw()
     for it in range(1, INNER_MAX_ITER + 2):
         s, Hr, grad = _newton_state(cache, H, r)
-        converged, pg_norm, pinned = _stationarity(r, grad, Hr)
+        converged, pg_norm, pinned = _stationarity(H, r, grad, Hr)
         if converged or it > INNER_MAX_ITER:
             break
         hess = _newton_hessian(cache, H, s)

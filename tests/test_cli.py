@@ -50,6 +50,30 @@ def test_fit_roundtrip(tmp_path, gaussian_table):
     assert "seed" not in report.splitlines()[0]
 
 
+def test_fit_with_skipped_upper_block(tmp_path, gaussian_table, monkeypatch):
+    """With fit_upper false the block-a component is not fitted: map.json
+    holds null for it, fit_report.tsv lists only the fitted component, and
+    the loaded map conditions exactly like the map fit wrote."""
+    fitted = []
+    fit = cli.fit
+    monkeypatch.setattr(cli, "fit", lambda *args: fitted.append(fit(*args)) or fitted[-1])
+    cfg = write_json(tmp_path / "c.json",
+                     {"ensemble": gaussian_table, "parent_sets": [[], [0]],
+                      "block_split": 1, "fit_upper": False})
+    out = tmp_path / "out"
+    assert run(["fit", "--config", cfg, "--out", out]) == 0
+    doc = json.loads((out / "map.json").read_text())
+    assert doc["components"][0] is None and doc["components"][1] is not None
+    rows = [line.split("\t") for line in (out / "fit_report.tsv").read_text().splitlines()
+            if not line.startswith(("#", "component"))]
+    assert [row[0] for row in rows] == ["1"]
+    tri, loaded = fitted[0][0], TriangularMap.load(out / "map.json")
+    assert loaded.components[0] is None
+    members = np.random.default_rng(2).standard_normal((30, 2))
+    assert np.array_equal(loaded.conditional_update(members, [0.4]),
+                          tri.conditional_update(members, [0.4]))
+
+
 def test_fit_config_keys_reach_outputs(tmp_path, gaussian_table):
     cfg = write_json(tmp_path / "c.json",
                      {"ensemble": gaussian_table, "parent_sets": [[], [0]],

@@ -152,6 +152,77 @@ def test_inner_solution_beats_perturbations(cache):
         assert v >= v0 - 1e-10
 
 
+def test_clipped_start_reaches_the_default_start_optimum(cache, monkeypatch):
+    """A start with a negative increment is clipped at zero and solved from
+    there; a start whose clipped slopes are not all positive restarts from
+    default_raw(). Both reach the optimum of the default start."""
+    logl = np.array([1.0, 1.0])
+    plain = fit_inner(cache, logl)[0]
+    restarts = []
+    default_raw = cache.default_raw
+    monkeypatch.setattr(cache, "default_raw", lambda: restarts.append(1) or default_raw())
+    negative = feasible_raw(cache, seed=2)
+    negative[3] = -0.2
+    clipped = negative.copy()
+    clipped[3] = 0.0
+    assert (cache.W @ clipped).min() > 0
+    flat = feasible_raw(cache, seed=2)
+    flat[1:] = -flat[1:]   # clipped to all-zero increments: zero slope everywhere
+    for r0, restarted in ((negative, False), (flat, True)):
+        restarts.clear()
+        r, _, converged, _ = fit_inner(cache, logl, r0=r0)
+        assert converged and bool(restarts) == restarted
+        assert np.abs(r - plain).max() <= 10 * objective.INNER_TOL * np.abs(plain).max()
+
+
+def test_inner_solve_raises_on_an_indefinite_newton_matrix(cache, monkeypatch):
+    """The Newton matrix is positive definite by construction; if it is not,
+    the factorization error propagates instead of being patched over."""
+    monkeypatch.setattr(objective, "_newton_hessian",
+                        lambda cache, H, s: -np.eye(H.shape[0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_inner(cache, np.array([1.0, 1.0]))
+
+
+# component 2 (parent 1) of a sparse Lorenz-63 fit in the n=50, seed-2 filter
+# run, standardized and rounded to 3 digits: the own variable nearly follows
+# its parent
+STALL_PARENT = np.array([
+    -1.23, -1.64, 0.653, -0.967, 0.562, -0.601, -0.689, -0.949, 0.277, -1.02, 1.25,
+    0.34, 1.49, 0.638, 0.905, 0.291, 0.353, 0.415, -0.593, -0.368, -1.41, 0.867, -0.351,
+    0.75, 0.335, -2.28, 1.42, 0.0584, -3.05, -0.619, -1.42, -0.52, 0.345, 0.152, -1.25,
+    1.28, -1.32, 0.27, 0.366, -0.573, 1.08, 0.306, -2.56, 0.432, -0.105, -0.838, -1.64,
+    -0.0584, 1.47, -0.379
+])
+STALL_OWN = np.array([
+    -1.21, -1.63, 0.66, -0.916, 0.614, -0.556, -0.669, -0.929, 0.323, -1.01, 1.26,
+    0.376, 1.5, 0.673, 0.939, 0.298, 0.353, 0.43, -0.564, -0.327, -1.39, 0.983, -0.311,
+    0.743, 0.369, -2.3, 1.45, 0.0179, -3.09, -0.571, -1.42, -0.482, 0.383, 0.158, -1.24,
+    1.3, -1.29, 0.267, 0.414, -0.566, 1.12, 0.338, -2.56, 0.467, -0.11, -0.817, -1.64,
+    -0.0179, 1.49, -0.355
+])
+
+
+def test_inner_solve_stops_at_the_rounding_of_h_r(monkeypatch):
+    """At monotone log-lambda 15, |H| is near 6.5e6 and |r| near 51, so the
+    relative tolerance (1e-8 here) is below the rounding of H r and only the
+    rounding floor ends the solve. Without the floor it ran all
+    INNER_MAX_ITER passes, and those passes lowered the value by less than
+    the rounding of r'H r."""
+    cache = DesignCache([SplineBasis(make_knots(STALL_PARENT))], [STALL_PARENT],
+                        SplineBasis(make_knots(STALL_OWN)), STALL_OWN)
+    logl = np.array([1.2, 15.0])
+    r, iters, converged, _ = fit_inner(cache, logl)
+    assert converged and iters < 20
+    monkeypatch.setattr(objective, "ROUNDING_ULPS", 0)
+    r_cap, cap_iters, cap_converged, _ = fit_inner(cache, logl)
+    assert (cap_iters, cap_converged) == (objective.INNER_MAX_ITER, False)
+    H = cache.profile_operators(logl)[0]
+    rounding = np.finfo(float).eps * float(np.abs(r) @ np.abs(H) @ np.abs(r))
+    value = reduced_penalized_objective(cache, r, logl)[0]
+    assert value - reduced_penalized_objective(cache, r_cap, logl)[0] <= rounding
+
+
 def test_edf_limits(cache):
     r_lo = fit_inner(cache, np.array([-12.0, -12.0]))[0]
     _, lo = edf(cache, r_lo, np.array([-12.0, -12.0]), per_block=True)
@@ -439,6 +510,27 @@ def test_search_stops_on_gradient_where_steepest_descent_capped():
     assert report.stop_reason == "gradient"
     assert report.outer_iters < 10
     assert report.grad_norm <= objective.OUTER_TOL_GRAD
+
+
+def test_failed_trial_halves_the_step(cache, monkeypatch):
+    """A trial point whose inner solve raises LinAlgError scores infinity,
+    so the line search halves the step and still returns a scored point."""
+    start = np.array([2.0, 2.0])
+    fit = objective.fit_inner
+    trials = []
+
+    def fail_first_trial(cache, log_lambdas, r0=None):
+        trials.append(np.array(log_lambdas))
+        if len(trials) == 2:   # the first call scores the start
+            raise np.linalg.LinAlgError("not positive definite")
+        return fit(cache, log_lambdas, r0=r0)
+
+    monkeypatch.setattr(objective, "fit_inner", fail_first_trial)
+    logl, report, _ = adapt_lambdas(cache, start, np.ones(2, bool), 1)
+    assert np.allclose(trials[2] - start, (trials[1] - start) / 2, rtol=0, atol=1e-15)
+    assert report.outer_iters == 1 and np.array_equal(logl, trials[2])
+    monkeypatch.undo()
+    assert report.aicc == pytest.approx(outer_objective(cache, logl)[0], rel=1e-8)
 
 
 @pytest.mark.parametrize("make, logl, step", [

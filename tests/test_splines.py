@@ -89,6 +89,17 @@ def test_make_knots_cube_root_rule():
     assert make_knots(x).real.size == 5  # exact cube root, no off-by-one
 
 
+def test_make_knots_few_unique_values(caplog):
+    """Fewer than 8 unique samples take max(4, unique - 1) real knots, with a
+    logged warning."""
+    x = np.tile(np.arange(5.0), 4)
+    with caplog.at_level("WARNING", logger="pstransport.splines"):
+        kv = make_knots(x)
+    assert kv.real.size == 4
+    assert kv.first == np.quantile(x, 0.1) and kv.last == np.quantile(x, 0.9)
+    assert "only 5 unique samples; falling back to 4 real knots" in caplog.text
+
+
 def test_make_knots_quantile_range():
     x = np.linspace(0.0, 10.0, 101)
     kv = make_knots(x)
