@@ -564,9 +564,9 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
             trial = np.clip(logl + alpha * direction, *LOG_LAMBDA_BOUNDS)
             if np.array_equal(trial, logl):
                 break   # the step is below the rounding of log-lambda
+            r0 = r_hat + dr @ (trial - logl)   # fit_inner clips it or restarts
             try:
-                v_new, rep_new, r_new = outer_objective(
-                    cache, trial, r0=r_hat + dr @ (trial - logl))
+                v_new, rep_new, r_new = outer_objective(cache, trial, r0=r0)
             except FIT_FAILURES:
                 v_new = np.inf   # fails the Armijo test: halve the step
             accepted = v_new <= value + 1e-4 * alpha * directional
