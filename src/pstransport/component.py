@@ -66,9 +66,9 @@ class MapComponent:
     mon_basis : SplineBasis
         Basis for the monotone term.
     beta_non : ndarray
-        Concatenated nonmonotone coefficients (per-parent blocks).
+        Concatenated nonmonotone coefficients (per-parent blocks), finite.
     beta_mon_raw : ndarray
-        Raw monotone parameters; ``beta_mon_raw[0]`` is a free level,
+        Raw monotone parameters, finite; ``beta_mon_raw[0]`` is a free level,
         the remaining increments must be >= 0.
     log_lambdas : ndarray, optional
         Per-block log smoothing parameters (parents first, monotone last);
@@ -85,6 +85,8 @@ class MapComponent:
         self.mon_basis = mon_basis
         self.beta_non = np.asarray(beta_non, dtype=float)
         self.beta_mon_raw = np.asarray(beta_mon_raw, dtype=float)
+        if not (np.isfinite(self.beta_non).all() and np.isfinite(self.beta_mon_raw).all()):
+            raise ValueError("coefficients must be finite")
         if np.any(self.beta_mon_raw[1:] < 0):
             raise ValueError("monotone increments must be nonnegative")
         ends = np.cumsum([0] + [b.num_basis for b in non_bases])

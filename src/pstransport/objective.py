@@ -29,7 +29,8 @@ directly: the systems are p x p and a fit makes dozens of them, so at
 small ensembles scipy's ``cho_factor``/``cho_solve`` argument handling
 costs more than the factorizations themselves. Each matrix factored is
 positive definite by construction, so a failed factorization raises
-``LinAlgError`` (one of ``FIT_FAILURES``) and is never retried.
+``LinAlgError`` (one of ``FIT_FAILURES``) naming the matrix, and is never
+retried.
 """
 
 from dataclasses import dataclass, field
@@ -62,17 +63,16 @@ OUTER_TOL_OBJ = 1e-6   # the outer search stops when a step gains at most this
 OUTER_TOL_GRAD = 1e-4  # ... or when the adapted outer gradient norm is at most this
 
 
-def _cho_factor(a):
+def _cho_factor(a, what):
     """Upper Cholesky factor of symmetric positive-definite ``a`` (``dpotrf``;
     the strict lower triangle holds leftover entries of ``a``). Raises
     ``ValueError`` on a non-finite entry and ``LinAlgError`` when ``a`` is
-    not positive definite."""
+    not positive definite, each naming the matrix ``what``."""
     if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValueError(f"{what} has a non-finite entry")
     c, info = dpotrf(a, lower=0, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
+        raise np.linalg.LinAlgError(f"{what} is not positive definite (leading minor {info})")
     return c
 
 
@@ -194,12 +194,7 @@ class DesignCache:
         lambdas = np.exp(key)
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
-        try:
-            chol = _cho_factor(self.G_nn + self.s_non(lambdas))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "singular nonmonotone system; increase lambda"
-            ) from exc
+        chol = _cho_factor(self.G_nn + self.s_non(lambdas), "nonmonotone system")
         D = _cho_solve(chol, self.G_nm)
         H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
         ops = (H, D, lambdas)
@@ -330,7 +325,7 @@ def fit_inner(cache, log_lambdas, r0=None):
         else:
             free, Hf, gf = slice(None), hess, grad
         step = np.zeros_like(r)
-        step[free] = -_cho_solve(_cho_factor(Hf), gf)
+        step[free] = -_cho_solve(_cho_factor(Hf, "inner Newton matrix"), gf)
         alpha = 1.0
         for _ in range(40):
             cand = r + alpha * step
@@ -392,12 +387,7 @@ def _factored_hessian(cache, r_hat, log_lambdas):
     blocks.append((slice(m, k), cache.mon_gram_raw[ff]))
     factors = []
     for sl, _ in blocks:
-        try:
-            chol = _cho_factor(Hu[sl, sl] + Pen[sl, sl])
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "penalized Hessian not positive definite"
-            ) from exc
+        chol = _cho_factor(Hu[sl, sl] + Pen[sl, sl], "penalized Hessian block")
         factors.append((chol, _cho_solve(chol, Hu[sl, sl])))
     for arr in (Hu, Pen, free, Wf, s, blocks[-1][1], *(a for f in factors for a in f)):
         arr.flags.writeable = False
@@ -451,9 +441,9 @@ def outer_objective(cache, log_lambdas, r0=None):
 def outer_gradient(cache, log_lambdas, r_hat=None):
     """Total derivative of the AICc outer objective w.r.t. each log lambda.
 
-    Uses the implicit function theorem at the inner optimum; increments
-    pinned at zero with a positive multiplier are removed from the
-    implicit system (their sensitivity vanishes).
+    Uses the implicit function theorem at the inner optimum; every
+    increment at or below ``PIN_TOL`` is removed from the implicit system
+    (its sensitivity is zero), whatever the sign of its multiplier.
     """
     if r_hat is None:
         r_hat, _, _, _ = fit_inner(cache, log_lambdas)
@@ -462,8 +452,9 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
 
 def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     """``outer_gradient`` at the inner optimum ``r_hat`` together with its
-    sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows where an
-    increment is pinned): both come from the one implicit-function solve."""
+    sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows at the
+    increments at or below ``PIN_TOL``, which the solve leaves out): both
+    come from the one implicit-function solve."""
     _, D, lambdas = cache.profile_operators(log_lambdas)
     Hu, Pen, blocks, free, Wf, s, factors, traces = \
         _factored_hessian(cache, r_hat, log_lambdas)
@@ -476,7 +467,7 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     rhs = np.zeros((beta.size, len(blocks)))
     for col, (lam, (sl, gram)) in enumerate(zip(lambdas, blocks)):
         rhs[sl, col] = lam * (gram @ beta[sl])
-    dbeta = -_cho_solve(_cho_factor(Hu + Pen), rhs)
+    dbeta = -_cho_solve(_cho_factor(Hu + Pen, "penalized Hessian"), rhs)
 
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]

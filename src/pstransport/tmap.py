@@ -289,15 +289,19 @@ class TriangularMap:
     def from_dict(cls, doc):
         """Map saved by ``to_dict``. Raises ValueError when the sizes, the block
         split, a component's own variable or its parents do not fit together,
-        or the names, block split, center, scale or a degree is of the wrong
-        type or out of its range."""
+        or the names, block split, center, scale, components, a degree or a
+        coefficient is of the wrong type or out of its range."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
+        if not isinstance(doc["components"], list):
+            raise ValueError(f"saved map components must be a list, not {doc['components']!r}")
         comps = []
         for j, cd in enumerate(doc["components"]):
             if cd is None:
                 comps.append(None)
                 continue
+            if not isinstance(cd, dict):
+                raise ValueError(f"component {j} must be null or an object, not {cd!r}")
             if cd["own"] != j:
                 raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
             degree = cd["degree"]

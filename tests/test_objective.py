@@ -180,8 +180,49 @@ def test_inner_solve_raises_on_an_indefinite_newton_matrix(cache, monkeypatch):
     the factorization error propagates instead of being patched over."""
     monkeypatch.setattr(objective, "_newton_hessian",
                         lambda cache, H, s: -np.eye(H.shape[0]))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="inner Newton matrix"):
         fit_inner(cache, np.array([1.0, 1.0]))
+
+
+def indefinite_nonmonotone_system(monkeypatch, cache, logl, r_hat):
+    monkeypatch.setattr(cache, "s_non", lambda lambdas: -1e6 * np.eye(cache.m))
+    return lambda: cache.profile_operators(logl + 1.0)
+
+
+def indefinite_monotone_block(monkeypatch, cache, logl, r_hat):
+    monkeypatch.setattr(cache, "s_mon_raw", lambda lambdas: -1e6 * np.eye(cache.p))
+    return lambda: objective._factored_hessian(cache, r_hat, logl)
+
+
+def indefinite_joint_hessian(monkeypatch, cache, logl, r_hat):
+    """Scale the parent-monotone coupling of Hu after its diagonal blocks
+    are factored, so only the joint system fails."""
+    factored = objective._factored_hessian
+
+    def coupled(cache, r_hat, log_lambdas):
+        Hu, *rest = factored(cache, r_hat, log_lambdas)
+        Hu = Hu.copy()
+        Hu[:cache.m, cache.m:] *= 1e6
+        Hu[cache.m:, :cache.m] *= 1e6
+        return (Hu, *rest)
+
+    monkeypatch.setattr(objective, "_factored_hessian", coupled)
+    return lambda: objective._outer_gradient_and_sensitivity(cache, logl, r_hat)
+
+
+@pytest.mark.parametrize("break_matrix, name", [
+    (indefinite_nonmonotone_system, "nonmonotone system"),
+    (indefinite_monotone_block, "penalized Hessian block"),
+    (indefinite_joint_hessian, "penalized Hessian"),
+])
+def test_factorization_failures_name_their_matrix(monkeypatch, break_matrix, name):
+    """Every Cholesky factorization of the fit names its matrix when it fails."""
+    cache, logl = gaussian_cache(), np.array([1.0, 1.0])
+    r_hat = fit_inner(cache, logl)[0]
+    call = break_matrix(monkeypatch, cache, logl, r_hat)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"^{name} is not positive definite \(leading minor \d+\)$"):
+        call()
 
 
 # component 2 (parent 1) of a sparse Lorenz-63 fit in the n=50, seed-2 filter
@@ -281,7 +322,7 @@ def test_lapack_helpers_match_scipy(size):
     rng = np.random.default_rng(size)
     A = rng.standard_normal((size, size + 2))
     A = A @ A.T + 1e-3 * np.eye(size)
-    c = objective._cho_factor(A)
+    c = objective._cho_factor(A, "A")
     want = cho_factor(A)
     assert np.array_equal(c, want[0])
     for b in (rng.standard_normal(size), rng.standard_normal((size, 5))):
@@ -291,14 +332,14 @@ def test_lapack_helpers_match_scipy(size):
 
 
 def test_lapack_helpers_raise_like_scipy():
-    with pytest.raises(np.linalg.LinAlgError):
-        objective._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="A is not positive definite"):
+        objective._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), "A")
     for bad in (np.nan, np.inf):
         A = np.eye(3)
         A[1, 2] = bad
-        with pytest.raises(ValueError):
-            objective._cho_factor(A)
-    empty = objective._cho_factor(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="A has a non-finite entry"):
+            objective._cho_factor(A, "A")
+    empty = objective._cho_factor(np.zeros((0, 0)), "A")
     assert objective._cho_solve(empty, np.zeros((0, 4))).shape == (0, 4)
 
 

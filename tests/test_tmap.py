@@ -11,7 +11,7 @@ try:
 except ImportError:   # numpy < 2
     from numpy.core._exceptions import _ArrayMemoryError
 
-from pstransport import tmap
+from pstransport import objective, tmap
 from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.lorenz63 import Lorenz63Params
 from pstransport.objective import OUTER_TOL_GRAD, BarrierViolationError, \
@@ -383,11 +383,15 @@ def set_at(doc, path, value):
     (("block_split",), True, "block_split must be an integer"),
     (("names",), "abc", "names must be a list of strings"),
     (("names",), [0, 1, 2], "names must be a list of strings"),
+    (("components", 1, "beta_mon_raw", 0), float("nan"), "coefficients must be finite"),
+    (("components", 2, "beta_non", 2), float("inf"), "coefficients must be finite"),
+    (("components",), "xx", "components must be a list"),
+    (("components", 1), "xx", "component 1 must be null or an object"),
 ])
 def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
     """A saved map is outside input: its sizes, block split, names, own
-    variables, parents, center, scale and degrees are checked when it is
-    loaded, with the fit's parent rule."""
+    variables, parents, center, scale, degrees, components and coefficients
+    are checked when it is loaded, with the fit's parent rule."""
     TriangularMap.from_dict(saved_sparse_map)
     with pytest.raises(ValueError, match=match):
         TriangularMap.from_dict(set_at(saved_sparse_map, path, value))
@@ -420,6 +424,15 @@ def test_fit_failure_names_component():
     data = np.column_stack([rng.standard_normal(50), np.full(50, 1.0)])
     with pytest.raises(DegenerateDimensionError, match="component 1"):
         fit(Ensemble(data, ["a", "b"]), [[], [0]])
+
+
+def test_fit_failure_names_component_and_matrix(monkeypatch):
+    """A failed factorization inside a component fit names the component
+    and the matrix."""
+    monkeypatch.setattr(objective, "_newton_hessian", lambda cache, H, s: -np.eye(H.shape[0]))
+    with pytest.raises(np.linalg.LinAlgError, match=r"^fit of component 0 \(a\) failed: "
+                       r"inner Newton matrix is not positive definite \(leading minor 1\)$"):
+        fit(Ensemble(gaussian_ensemble(60).data, ["a", "b"]), [[], [0]])
 
 
 @pytest.mark.parametrize("error", [ModelTooComplexError, BarrierViolationError, TypeError])
