@@ -12,8 +12,14 @@ once, when it is built, into ``PiecewisePolynomial`` form. That is the one
 evaluator of the fitted function: ``eval_many`` and ``parent_term_many``
 read it, and ``invert_many`` takes the value and slope from it in each
 Newton iteration, its tail brackets from its boundary values and slopes,
-and its final residual check from it, so the inverse is checked against
-the function ``eval_many`` evaluates. ``ddx`` keeps the increment form
+its Newton starts from its values at START_POINTS_PER_SPAN points per knot
+span, and its final residual check from it, so the inverse is checked
+against the function ``eval_many`` evaluates. Each interior target starts
+at the secant across the sub-span whose values hold it, with that sub-span
+as its bracket; a ``SortedLookup`` of those values finds it. The final
+check evaluates only the tail rows and the rows that left the Newton loop
+without meeting its residual test, which is 100 times tighter than the
+check. ``ddx`` keeps the increment form
 ``eval_deriv_increments(x) @ beta_mon_raw``: a sum of nonnegative terms is
 exactly >= 0, and exactly 0 where the increments around x are zero, which
 ``log_pullback_density`` relies on to tell a flat stretch (log density
@@ -23,12 +29,17 @@ The basis tables stay for the design matrices of the fit.
 
 import numpy as np
 
-from .splines import PiecewisePolynomial
+from .splines import PiecewisePolynomial, SortedLookup
 
 __all__ = ["MapComponent", "NotInvertibleError"]
 
 INVERT_TOL = 1e-10      # inversion residual tolerance, relative to max(1, |target|)
 INVERT_MAX_ITER = 200   # safeguarded Newton iterations per inversion
+# Newton start table points per knot span: 16 leaves one or two Newton steps
+# for most targets of a fitted Lorenz-63 map, where the knots alone leave two
+# to four
+START_POINTS_PER_SPAN = 16
+_START_FRACTIONS = np.arange(START_POINTS_PER_SPAN) / START_POINTS_PER_SPAN
 
 
 class NotInvertibleError(RuntimeError):
@@ -52,6 +63,31 @@ def _not_invertible(reason, gap, z_targets):
     )
 
 
+def _newton_starts(f, knots):
+    """Bracket and secant start of ``f(x) = t`` for t in [f(knots[0]), f(knots[-1])].
+
+    f is non-decreasing up to rounding, so with V the running maximum of f
+    at START_POINTS_PER_SPAN evenly spaced points p of each knot span (the
+    knots included), a target with V_i <= t < V_i+1 has its root in [p_i,
+    p_i+1]. The lookup runs over the starts of the sub-spans where V rises,
+    and the last one, so a flat stretch adds no break to it. Returns the
+    lookup and the tables it indexes: bracket ends, start value and secant
+    rate (0 on a flat last sub-span).
+    """
+    points = np.concatenate(((knots[:-1, None] + (knots[1:] - knots[:-1])[:, None]
+                              * _START_FRACTIONS).ravel(), knots[-1:]))
+    values = np.maximum.accumulate(f(points))
+    rising = np.concatenate((np.flatnonzero(values[1:-1] > values[:-2]), [values.size - 2]))
+    # lookup result e (breaks <= t) serves sub-span rising[e - 1]; e = 0 only
+    # below V_0, by rounding
+    spans = np.concatenate((rising[:1], rising))
+    lo, hi = points[spans], points[spans + 1]
+    start = values[spans]
+    rise = values[spans + 1] - start
+    rate = np.divide(hi - lo, rise, out=np.zeros(rise.size), where=rise > 0)
+    return SortedLookup(values[rising]), lo, hi, start, rate
+
+
 class MapComponent:
     """S(x_parents, x_own) = sum_k g_k(x_parent_k) + f(x_own), f non-decreasing.
 
@@ -66,13 +102,13 @@ class MapComponent:
     mon_basis : SplineBasis
         Basis for the monotone term.
     beta_non : ndarray
-        Concatenated nonmonotone coefficients (per-parent blocks), finite.
+        Concatenated nonmonotone coefficients (per-parent blocks), 1-d, finite.
     beta_mon_raw : ndarray
-        Raw monotone parameters, finite; ``beta_mon_raw[0]`` is a free level,
+        Raw monotone parameters, 1-d, finite; ``beta_mon_raw[0]`` is a free level,
         the remaining increments must be >= 0.
     log_lambdas : ndarray, optional
-        Per-block log smoothing parameters (parents first, monotone last);
-        kept for reporting and serialization.
+        Per-block log smoothing parameters (parents first, monotone last),
+        finite; kept for reporting and serialization.
     """
 
     def __init__(self, parents, own, non_bases, mon_basis, beta_non, beta_mon_raw,
@@ -85,6 +121,9 @@ class MapComponent:
         self.mon_basis = mon_basis
         self.beta_non = np.asarray(beta_non, dtype=float)
         self.beta_mon_raw = np.asarray(beta_mon_raw, dtype=float)
+        if self.beta_non.ndim != 1 or self.beta_mon_raw.ndim != 1:
+            raise ValueError(f"coefficients must be 1-d arrays, not of shapes "
+                             f"{self.beta_non.shape} and {self.beta_mon_raw.shape}")
         if not (np.isfinite(self.beta_non).all() and np.isfinite(self.beta_mon_raw).all()):
             raise ValueError("coefficients must be finite")
         if np.any(self.beta_mon_raw[1:] < 0):
@@ -96,9 +135,15 @@ class MapComponent:
             raise ValueError("beta_mon_raw size must match monotone basis")
         self.beta_mon = np.cumsum(self.beta_mon_raw)
         self.log_lambdas = None if log_lambdas is None else np.asarray(log_lambdas, float)
+        if self.log_lambdas is not None and not (
+                self.log_lambdas.shape == (len(parents) + 1,)
+                and np.isfinite(self.log_lambdas).all()):
+            raise ValueError(f"log_lambdas must be finite, one per block ({len(parents) + 1}), "
+                             f"not {self.log_lambdas.tolist()}")
         self._mon = PiecewisePolynomial(mon_basis, self.beta_mon)
         self._non = [PiecewisePolynomial(b, self.beta_non[i:j])
                      for b, i, j in zip(non_bases, ends[:-1], ends[1:])]
+        self._starts = _newton_starts(self._mon, mon_basis.knots.real)
 
     def ddx(self, x_own):
         """Derivative of the monotone term; independent of the parents.
@@ -156,52 +201,66 @@ class MapComponent:
                                           np.where(out, np.abs(t - f_end), -np.inf), z_targets)
                 x[out] = end + (t[out] - f_end) / slope
         scale = np.maximum(1.0, np.abs(z_targets))
-        active = np.flatnonzero(~(below | above))
+        # rows the final check evaluates: the tails and rows retired unmet
+        check = below | above
+        active = np.flatnonzero(~check)
         if active.size:
             if f_hi - f_lo <= 0:
                 raise NotInvertibleError("monotone term is flat; cannot invert")
             tm = t[active]
-            sm = scale[active]
-            lo = np.full(tm.size, first)
-            hi = np.full(tm.size, last)
-            xm = first + (tm - f_lo) / (f_hi - f_lo) * (last - first)
+            tol = INVERT_TOL * scale[active]
+            # start at the secant inside the sub-span whose values hold the target
+            find, lo_of, hi_of, value_of, rate_of = self._starts
+            span = find(tm)
+            lo, hi = lo_of.take(span), hi_of.take(span)
+            xm = lo + (tm - value_of.take(span)) * rate_of.take(span)
             last_step = step_before = hi - lo
             for _ in range(INVERT_MAX_ITER):
                 fm, dm = f(xm, slope=True)
                 fm -= tm
                 # accept when the residual is small on the target scale or the
                 # bracket has collapsed to floating-point resolution
-                done = (np.abs(fm) <= INVERT_TOL * sm) | \
-                    (hi - lo <= 4e-16 * np.maximum(1.0, np.abs(xm)))
+                met = np.abs(fm) <= tol
+                done = met | (hi - lo <= 4e-16 * np.maximum(1.0, np.abs(xm)))
                 if done.any():
                     x[active[done]] = xm[done]
-                    keep = ~done
-                    active, tm, sm, lo, hi, xm, fm, dm, last_step, step_before = (
-                        a[keep] for a in
-                        (active, tm, sm, lo, hi, xm, fm, dm, last_step, step_before))
-                    if not active.size:
+                    check[active[done & ~met]] = True
+                    keep = np.flatnonzero(~done)
+                    if not keep.size:
                         break
-                hi = np.where(fm > 0, xm, hi)
-                lo = np.where(fm <= 0, xm, lo)
+                    active, tm, tol, lo, hi, xm, fm, dm, last_step, step_before = (
+                        a.take(keep) for a in
+                        (active, tm, tol, lo, hi, xm, fm, dm, last_step, step_before))
+                np.copyto(hi, xm, where=fm > 0)
+                np.copyto(lo, xm, where=fm <= 0)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     xn = xm - fm / dm
-                # bisect when Newton leaves the bracket or exceeds half the step
-                # before last (rtsafe), lest it bounce between the bracket ends
-                bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi) | \
-                    (np.abs(xn - xm) > 0.5 * step_before)
-                xn = np.where(bad, 0.5 * (lo + hi), xn)
+                # bisect when Newton leaves the bracket (or is not finite) or
+                # exceeds half the step before last (rtsafe), lest it bounce
+                # between the bracket ends
+                newton = (xn > lo) & (xn < hi) & (np.abs(xn - xm) <= 0.5 * step_before)
+                np.copyto(xn, 0.5 * (lo + hi), where=~newton)
                 step_before, last_step = last_step, np.abs(xn - xm)
                 xm = xn
-            x[active] = xm
-        # residual check on the scale the bisection can actually resolve: for a
-        # steep monotone term, one ulp in x moves f by |f'(x)| * ulp(x)
-        fx, dx = f(x, slope=True)
-        resolvable = np.abs(dx) * np.abs(x) * 2e-16
-        resid = np.abs(fx + g - z_targets)
-        missed = resid > 100 * (INVERT_TOL * scale + resolvable)
-        if missed.any():
-            raise _not_invertible("inversion did not reach tolerance",
-                                  np.where(missed, resid, -np.inf), z_targets)
+            else:
+                # the iteration cap: the check judges where the last step left them
+                x[active] = xm
+                check[active] = True
+        # a row retired by the residual test met a bound 100 times tighter than
+        # this one; the rest are checked on the scale the bisection can
+        # resolve: for a steep monotone term, one ulp in x moves f by
+        # |f'(x)| * ulp(x)
+        rows_checked = np.flatnonzero(check)
+        if rows_checked.size:
+            xc = x[rows_checked]
+            fx, dx = f(xc, slope=True)
+            resolvable = np.abs(dx) * np.abs(xc) * 2e-16
+            resid = np.abs(fx + g[rows_checked] - z_targets[rows_checked])
+            missed = resid > 100 * (INVERT_TOL * scale[rows_checked] + resolvable)
+            if missed.any():
+                gap = np.full(t.size, -np.inf)
+                gap[rows_checked[missed]] = resid[missed]
+                raise _not_invertible("inversion did not reach tolerance", gap, z_targets)
         return x
 
     def invert_in_last(self, x_row, z_target):

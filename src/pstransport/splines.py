@@ -27,12 +27,16 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+# at most this many lookup cells per break interval of a SortedLookup
+MAX_CELLS_PER_INTERVAL = 16
+
 __all__ = [
     "DegenerateDimensionError",
     "KnotVector",
     "SplineBasis",
     "PenaltyMatrix",
     "PiecewisePolynomial",
+    "SortedLookup",
     "make_knots",
     "make_penalty",
 ]
@@ -48,8 +52,8 @@ class KnotVector:
     Parameters
     ----------
     real_knots : array_like
-        Strictly ascending positions of the real knots, at least degree+2
-        of them.
+        Strictly ascending finite positions of the real knots, at least
+        degree+2 of them.
     degree : int
         Spline degree; each boundary knot is repeated ``degree`` extra times.
     """
@@ -58,6 +62,8 @@ class KnotVector:
         real_knots = np.asarray(real_knots, dtype=float)
         if real_knots.ndim != 1 or real_knots.size < 2:
             raise ValueError(f"need at least 2 real knots, got {real_knots.size}")
+        if not np.all(np.isfinite(real_knots)):
+            raise ValueError(f"real knots must be finite, not {real_knots.tolist()}")
         if not np.all(np.diff(real_knots) > 0):
             raise ValueError("real knots must be strictly ascending")
         if degree < 0:
@@ -163,6 +169,8 @@ class SplineBasis:
         self._val_first, self._val_last = self._interior(ends)
         increments = self._increments(ends)
         self._slope_first, self._slope_last = increments[:, :-1] - increments[:, 1:]
+        # eval_deriv_increments at both ends
+        self._end_increments = increments[:, :-1]
 
     def _local(self, x, level):
         """Nonzero basis functions of degree ``level`` at interior x.
@@ -271,8 +279,9 @@ class PiecewisePolynomial:
     """The expansion ``basis.eval(x) @ coef`` in per-span power form.
 
     Converted once (de Boor, *A Practical Guide to Splines*, ch. VII), it
-    is read by a binary search and Horner steps on n-vectors instead of
-    an n x num_basis table.
+    is read by a ``SortedLookup`` of the real knots, which finds each
+    sample's piece without a binary search, and Horner steps on n-vectors
+    instead of an n x num_basis table.
 
     Span i of the real knots, [t_i, t_{i+1}) with width h_i, holds a
     polynomial in u = (x - t_i) / h_i: its constant term is the B-form
@@ -297,23 +306,25 @@ class PiecewisePolynomial:
         coef = np.asarray(coef, dtype=float)
         d = basis.degree
         real = basis.knots.real
-        h = np.diff(real)
+        h = real[1:] - real[:-1]
         inv_h = 1.0 / h
         # slopes in increment form, sum_j W_j(x) (c_j - c_{j-1}): a tail slope is
         # one such product, exactly 0 when its two coefficients are equal
-        increments = np.diff(coef, prepend=0.0)
+        increments = coef.copy()
+        increments[1:] -= coef[:-1]
         self.ends = (real[0], real[-1])
         self.end_values = (basis._val_first @ coef, basis._val_last @ coef)
-        self.end_slopes = tuple(basis.eval_deriv_increments(np.array(self.ends))
-                                @ increments)
+        self.end_slopes = tuple(basis._end_increments @ increments)
         # piece e serves searchsorted(real, x, "right") == e: 0 is the left
         # tail, 1..K-1 the spans, K the right tail
-        self._breaks = real
+        self._piece = SortedLookup(real)
         self._origin = np.concatenate([real[:1], real])
         self._inv_h = np.concatenate([[1.0], inv_h, [1.0]])
         self._value = np.zeros((d + 1, real.size + 1))
+        # the knots and the nodes below lie in the real range: the basis tables
+        # of eval and eval_deriv_increments, without their input checks
         self._value[0] = np.concatenate([[self.end_values[0]],
-                                         basis.eval(real[:-1]) @ coef,
+                                         basis._interior(real[:-1]) @ coef,
                                          [self.end_values[1]]])
         # degree 0: one zero row, so the slope is 0 without a branch
         self._slope = np.zeros((max(d, 1), real.size + 1))
@@ -324,7 +335,7 @@ class PiecewisePolynomial:
         # nodes, not at the nominal ones: on a short span far from 0 the
         # rounding of t_i + u*h is a large error in u
         u = ((at - real[:-1]) * inv_h).T
-        slopes = (basis.eval_deriv_increments(at.ravel()) @ increments).reshape(d, h.size).T
+        slopes = (basis._increments(at.ravel())[:, :-1] @ increments).reshape(d, h.size).T
         power = np.linalg.solve(u[:, :, None] ** np.arange(d), slopes[:, :, None])
         self._slope[:, 1:-1] = power[:, :, 0].T
         self._slope[0, [0, -1]] = self.end_slopes
@@ -335,12 +346,68 @@ class PiecewisePolynomial:
 
         No finiteness check: a NaN in x gives NaN, so callers check their input.
         """
-        e = np.searchsorted(self._breaks, x, "right")
+        e = self._piece(x)
         u = (x - self._origin.take(e)) * self._inv_h.take(e)
         value = _horner(self._value, e, u)
         if not slope:
             return value
         return value, _horner(self._slope, e, u)
+
+
+class SortedLookup:
+    """``np.searchsorted(breaks, x, "right")`` without a binary search.
+
+    A uniform grid of two cells per break interval, or more where breaks
+    cluster (up to MAX_CELLS_PER_INTERVAL), covers [breaks[0], breaks[-1]].
+    The cell of x is ``int((clamp(x) - breaks[0]) * scale)``
+    with x clamped to that range: a non-decreasing function of x, computed
+    the same way for x as for every break when the lookup is built. So every
+    break in an earlier cell than x's is <= x and every break in a later
+    cell is > x. Each cell stores how many breaks lie in earlier cells, and
+    ``steps`` is the most breaks one cell holds; a lookup takes the count of
+    its cell and then ``steps`` compare-and-add passes against the next
+    break. The result equals ``np.searchsorted`` for any non-decreasing finite
+    breaks, repeated ones included; evenly spaced breaks need one pass. NaN
+    gives 0 (``np.searchsorted`` gives ``len(breaks)``) without a warning.
+
+    Parameters
+    ----------
+    breaks : ndarray
+        Non-decreasing finite values.
+    """
+
+    def __init__(self, breaks):
+        self._lo, self._hi = lo, hi = float(breaks[0]), float(breaks[-1])
+        intervals = breaks.size - 1
+        cells = 2 * intervals
+        if intervals > 1:
+            # clustered breaks: cells narrower than the closest two breaks
+            # apart, so that no cell holds more than about two of them
+            closest = float((breaks[2:] - breaks[:-2]).min())
+            cells = max(cells, min(MAX_CELLS_PER_INTERVAL * intervals,
+                                   (hi - lo) / max(closest, 1e-300)))
+        scale = math.ceil(cells) / (hi - lo) if hi > lo else 0.0
+        # a width near the smallest subnormal overflows the scale; one cell is exact too
+        self._scale = scale if math.isfinite(scale) else 0.0
+        cell = self._cell(breaks)
+        # first[c] breaks lie in the cells before cell c
+        first = np.searchsorted(cell, np.arange(cell[-1] + 2))
+        self._below = first[:-1]
+        self.steps = int((first[1:] - first[:-1]).max())
+        # NaN after the last break: x >= NaN is false, so a count stops at len(breaks)
+        self._breaks = np.concatenate((breaks, [np.nan]))
+
+    def _cell(self, x):
+        # fmax/fmin clamp NaN as well, so the integer cast sees only finite values
+        return ((np.fmin(np.fmax(x, self._lo), self._hi) - self._lo)
+                * self._scale).astype(np.intp)
+
+    def __call__(self, x):
+        """Number of breaks <= x, for each entry of the 1-d array ``x``."""
+        e = self._below.take(self._cell(x))
+        for _ in range(self.steps):
+            e += x >= self._breaks.take(e)
+        return e
 
 
 def _horner(table, e, u):

@@ -23,6 +23,10 @@ logger = logging.getLogger(__name__)
 __all__ = ["Ensemble", "MapFitConfig", "TriangularMap", "fit", "permute_ensemble"]
 
 FORMAT_VERSION = 1
+# the entries to_dict writes for a map and for each fitted component
+MAP_KEYS = ("dim", "names", "block_split", "center", "scale", "components")
+COMPONENT_KEYS = ("parents", "own", "non_knots", "mon_knots", "degree", "beta_non",
+                  "beta_mon_raw", "log_lambdas")
 
 # IQR of the standard normal; dividing by IQR/this keeps N(0,1) data near unit scale
 NORMAL_IQR = 1.3489795003921634
@@ -73,6 +77,13 @@ def permute_ensemble(ensemble, order):
 def _is_int(value):
     """Whether ``value`` is an integer and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_keys(doc, keys, what):
+    """ValueError naming the first of ``keys`` that the saved object ``doc`` lacks."""
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r} entry")
 
 
 def _check_ranges(config, **bounds):
@@ -287,12 +298,14 @@ class TriangularMap:
 
     @classmethod
     def from_dict(cls, doc):
-        """Map saved by ``to_dict``. Raises ValueError when the sizes, the block
-        split, a component's own variable or its parents do not fit together,
-        or the names, block split, center, scale, components, a degree or a
-        coefficient is of the wrong type or out of its range."""
+        """Map saved by ``to_dict``. Raises ValueError when an entry is missing,
+        when the sizes, the block split, a component's own variable or its
+        parents do not fit together, or when the names, block split, center,
+        scale, components, a degree, a knot, a coefficient or the smoothing
+        parameters are of the wrong type or out of their range."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
+        _require_keys(doc, MAP_KEYS, "saved map")
         if not isinstance(doc["components"], list):
             raise ValueError(f"saved map components must be a list, not {doc['components']!r}")
         comps = []
@@ -302,6 +315,7 @@ class TriangularMap:
                 continue
             if not isinstance(cd, dict):
                 raise ValueError(f"component {j} must be null or an object, not {cd!r}")
+            _require_keys(cd, COMPONENT_KEYS, f"component {j}")
             if cd["own"] != j:
                 raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
             degree = cd["degree"]

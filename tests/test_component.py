@@ -146,8 +146,9 @@ def test_invert_many_next_to_zero_increment():
 def test_invert_many_retires_rows_as_they_converge(monkeypatch):
     """4000 rows over a flat stretch, a steep one next to a zero increment and
     both tails: rows meet the stop test at different iterations, each
-    iteration evaluates only the rows still open, and every row meets the
-    residual contract."""
+    iteration evaluates only the rows still open, the final check evaluates
+    only the tail rows and the rows that did not meet the residual test, and
+    every row meets the residual contract."""
     non = SplineBasis(KnotVector(np.linspace(-2, 2, 6), 3))
     mon = SplineBasis(KnotVector(np.linspace(-3, 1, 12), 3))
     raw = np.array([-5, 0.1, 0.3, 0.4, 0.2, 0.5, 0.7, 0, 2.7, 1.2, 1.1, 1e3, 0, 0.3])
@@ -167,9 +168,33 @@ def test_invert_many_retires_rows_as_they_converge(monkeypatch):
     monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
     x = comp.invert_many(rows, z)
     newton = sizes[:-1]
-    assert sizes[-1] == 4000
+    t = z - comp.parent_term_many(rows)
+    low, high = comp._mon.end_values
+    unmet = np.abs(evaluate(comp._mon, x) - t) > component.INVERT_TOL * np.maximum(1, np.abs(z))
+    assert sizes[-1] == np.count_nonzero((t < low) | (t > high) | unmet) < 4000
     assert all(a >= b for a, b in zip(newton, newton[1:]))
     assert len(set(newton)) > 3
+    resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
+    assert np.all(resid <= residual_contract(comp, x, z))
+
+
+def test_invert_many_at_knot_values_plateau_and_ends():
+    """Targets exactly at the values at the knots (the breaks of the Newton
+    start table), on a flat knot span, between the start points and at both
+    ends of the knot range meet the residual contract."""
+    # increments 2-4 are zero: the four cubic coefficients over the second
+    # knot span are equal, so the monotone term is flat there
+    comp = make_component(np.array([-1.0, 0.5, 0.0, 0.0, 0.0, 0.3, 0.8, 0.2]))
+    f = comp._mon
+    knots = comp.mon_basis.knots.real
+    plateau = f(np.linspace(knots[1], knots[2], 7))
+    assert np.all(plateau == plateau[0])
+    values = np.concatenate([f(knots), f.end_values, plateau,
+                             f(np.linspace(knots[0], knots[-1], 301))])
+    rows = np.random.default_rng(19).uniform(-3, 3, (values.size, 2))
+    z = comp.parent_term_many(rows) + values
+    x = comp.invert_many(rows, z)
+    assert np.all((x >= knots[0]) & (x <= knots[-1]))
     resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
     assert np.all(resid <= residual_contract(comp, x, z))
 

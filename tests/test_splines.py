@@ -8,6 +8,7 @@ from pstransport.splines import (
     KnotVector,
     PenaltyMatrix,
     PiecewisePolynomial,
+    SortedLookup,
     SplineBasis,
     make_knots,
     make_penalty,
@@ -279,6 +280,53 @@ def test_piecewise_polynomial_matches_basis(case):
     assert np.all(np.abs(value - basis.eval(x) @ coef) <= value_tol)
     assert np.all(np.abs(slope - basis.eval_deriv(x) @ coef) <= slope_tol)
     assert np.array_equal(PiecewisePolynomial(basis, coef)(x), value)
+
+
+@st.composite
+def sorted_breaks(draw):
+    """1 to 40 non-decreasing finite breaks: evenly spaced, at random gaps
+    (some of them 0), or clustered, with gaps over twelve decades."""
+    size = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["uniform", "random", "clustered"]))
+    if kind == "uniform":
+        gaps = np.ones(size - 1)
+    elif kind == "random":
+        gaps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size - 1,
+                                      max_size=size - 1)))
+    else:
+        gaps = 10.0 ** np.array(draw(st.lists(st.floats(-12.0, 0.0), min_size=size - 1,
+                                              max_size=size - 1)))
+    lo = draw(st.floats(-1e6, 1e6))
+    width = draw(st.floats(1e-6, 1e6))
+    steps = np.concatenate([[0.0], np.cumsum(gaps)])
+    return np.sort(lo + width * steps / max(steps[-1], 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_breaks(), st.randoms(use_true_random=False))
+def test_sorted_lookup_is_searchsorted(breaks, random):
+    """The bucketed lookup counts the breaks <= x exactly as
+    ``np.searchsorted(breaks, x, "right")`` does: at every break, next to it,
+    between breaks, in both tails and at +-1e300 and +-inf."""
+    width = breaks[-1] - breaks[0]
+    rng = np.random.default_rng(random.getrandbits(32))
+    x = np.concatenate([
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        rng.uniform(breaks[0], breaks[-1], 50),
+        breaks[0] - (width + 1.0) * np.array([1e-9, 1e-3, 1.0, 1e3]),
+        breaks[-1] + (width + 1.0) * np.array([1e-9, 1e-3, 1.0, 1e3]),
+        [1e300, -1e300, np.inf, -np.inf, 0.0, -0.0],
+    ])
+    assert np.array_equal(SortedLookup(breaks)(x), np.searchsorted(breaks, x, "right"))
+
+
+def test_sorted_lookup_of_nan_is_zero_without_warning():
+    """NaN falls in the first cell and is not >= any break, so the pp value
+    there is NaN too, and no cast warns (RuntimeWarnings are errors here)."""
+    assert SortedLookup(np.linspace(-2.0, 2.0, 7))(np.array([np.nan, 0.0]))[0] == 0
+    basis = SplineBasis(KnotVector(np.linspace(-2.0, 2.0, 7), 3))
+    value, slope = PiecewisePolynomial(basis, np.arange(9.0))(np.array([np.nan, 1.0]), slope=True)
+    assert np.isnan(value[0]) and np.isnan(slope[0]) and np.isfinite(value[1])
 
 
 def test_piecewise_polynomial_tails_are_affine_and_exactly_flat():

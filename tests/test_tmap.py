@@ -348,20 +348,52 @@ def test_saved_map_keeps_its_degree(tmp_path):
     assert np.max(np.abs(tri.inverse(tri.pushforward(x)) - x)) < 1e-7
 
 
+def test_saved_linear_map_loads_and_inverts(tmp_path):
+    """A map saved with degree 1 is piecewise linear: it evaluates its splines
+    as saved, and inverts every member, the knots and the tails included."""
+    knots = [-1.5, -0.5, 0.5, 1.5]   # degree 1: four basis functions
+    doc = {"format_version": 1, "dim": 2, "names": ["a", "b"], "block_split": 1,
+           "center": [0.5, -1.0], "scale": [2.0, 0.5], "components": [
+               {"parents": [], "own": 0, "non_knots": [], "mon_knots": knots,
+                "degree": 1, "beta_non": [], "beta_mon_raw": [-1.0, 0.4, 0.3, 0.6],
+                "log_lambdas": None},
+               {"parents": [0], "own": 1, "non_knots": [knots], "mon_knots": knots,
+                "degree": 1, "beta_non": [0.3, -0.2, 0.1, 0.0],
+                "beta_mon_raw": [-1.2, 0.5, 0.7, 0.4], "log_lambdas": [1.0, 2.0]}]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    tri = TriangularMap.load(path)
+    assert tri.to_dict() == doc
+    rng = np.random.default_rng(1)
+    z = np.concatenate([rng.uniform(-1.5, 1.5, (40, 2)), np.column_stack([knots, knots]),
+                        rng.uniform(-6, 6, (20, 2))]) * [2.0, 0.5] + [0.5, -1.0]
+    basis = SplineBasis(KnotVector(np.array(knots), 1))
+    want = basis.eval((z[:, 0] - 0.5) / 2.0) @ np.cumsum(doc["components"][0]["beta_mon_raw"])
+    assert np.allclose(tri.pushforward(z)[:, 0], want, rtol=0, atol=1e-12)
+    assert np.max(np.abs(tri.inverse(tri.pushforward(z)) - z)) < 1e-9
+
+
 @pytest.fixture(scope="module")
 def saved_sparse_map():
     ens = gaussian_ensemble(300, dim=3, seed=2)
     return fit(ens, [[], [0], [0, 1]], MapFitConfig(max_outer=2))[0].to_dict()
 
 
+MISSING = object()
+
+
 def set_at(doc, path, value):
-    """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to
+    ``value``, or deleted if ``value`` is MISSING."""
     doc = json.loads(json.dumps(doc))
     *parents, last = path
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
     return doc
 
 
@@ -387,6 +419,13 @@ def set_at(doc, path, value):
     (("components", 2, "beta_non", 2), float("inf"), "coefficients must be finite"),
     (("components",), "xx", "components must be a list"),
     (("components", 1), "xx", "component 1 must be null or an object"),
+    (("components", 2, "mon_knots", -1), float("inf"), "real knots must be finite"),
+    (("components", 1, "beta_mon_raw"), [[0.5]] * 11, "coefficients must be 1-d"),
+    (("components", 1, "beta_non"), [[0.1]] * 11, "coefficients must be 1-d"),
+    (("components", 1, "log_lambdas"), [float("nan"), 1.0], "log_lambdas must be finite"),
+    (("components", 2, "log_lambdas"), [1.0], r"log_lambdas must be finite, one per block \(3\)"),
+    (("components", 1, "own"), MISSING, "component 1 has no 'own' entry"),
+    (("scale",), MISSING, "saved map has no 'scale' entry"),
 ])
 def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
     """A saved map is outside input: its sizes, block split, names, own
