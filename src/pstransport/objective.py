@@ -13,9 +13,11 @@ matrices, the monotone block in raw coordinates. ``profile_operators``
 factors the nonmonotone system once per log-lambda and keeps the p x p
 Hessian of the reduced quadratic (a Schur complement of the Grams) with
 the operator giving the optimal nonmonotone coefficients. The inner
-solver judges steps on exact objective differences. One assembler
-builds the joint Hessian over (beta_non, free raw coordinates); its
-diagonal blocks give the per-block effective degrees of freedom.
+solver judges steps on exact objective differences. The per-block
+effective degrees of freedom come from each smoothing block's diagonal
+system, factored straight from the design Grams; only the outer
+gradient assembles and factors the joint Hessian over (beta_non, free
+raw coordinates).
 
 Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
 AICc outer objective inside a trust radius. Its gradient, and the
@@ -153,14 +155,15 @@ class DesignCache:
         self.num_blocks = len(self.block_sizes) + 1
         beta = mon_basis.greville()
         self._start_raw = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
+        self._ridge_non = RIDGE * np.eye(self.m)
         self._ops_key, self._ops = None, None
-        self._hess_key, self._hess = None, None
+        self._blocks_key, self._blocks = None, None
 
     # -- penalty assembly ---------------------------------------------------
 
     def s_non(self, lambdas):
         """Block-diagonal nonmonotone penalty (plus ridge)."""
-        S = RIDGE * np.eye(self.m)
+        S = self._ridge_non.copy()
         for lam, gram, sl in zip(lambdas[:-1], self.non_grams, self.non_slices):
             S[sl, sl] += lam * gram
         return S
@@ -291,8 +294,9 @@ def _stationarity(H, r, grad, Hr):
     g = np.where(pinned, 0.0, grad)
     pg_norm = float(np.sqrt(g @ g))
     scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
-    floor = ROUNDING_ULPS * np.finfo(float).eps * float((np.abs(H) @ np.abs(r)).max())
-    return pg_norm <= max(INNER_TOL * scale, floor), pg_norm, pinned
+    converged = pg_norm <= INNER_TOL * scale or \
+        pg_norm <= ROUNDING_ULPS * np.finfo(float).eps * float((np.abs(H) @ np.abs(r)).max())
+    return converged, pg_norm, pinned
 
 
 def fit_inner(cache, log_lambdas, r0=None):
@@ -321,11 +325,11 @@ def fit_inner(cache, log_lambdas, r0=None):
         hess = _newton_hessian(cache, H, s)
         if pinned.any():
             free = ~pinned
-            Hf, gf = hess[np.ix_(free, free)], grad[free]
+            step = np.zeros_like(r)
+            step[free] = -_cho_solve(_cho_factor(hess[np.ix_(free, free)],
+                                                 "inner Newton matrix"), grad[free])
         else:
-            free, Hf, gf = slice(None), hess, grad
-        step = np.zeros_like(r)
-        step[free] = -_cho_solve(_cho_factor(Hf, "inner Newton matrix"), gf)
+            step = -_cho_solve(_cho_factor(hess, "inner Newton matrix"), grad)
         alpha = 1.0
         for _ in range(40):
             cand = r + alpha * step
@@ -345,56 +349,74 @@ def fit_inner(cache, log_lambdas, r0=None):
 # -- effective degrees of freedom and outer objective -----------------------
 
 
-def _factored_hessian(cache, r_hat, log_lambdas):
-    """Joint Hessian state at (log_lambdas, r_hat) with its block factors.
+def _block_factors(cache, r_hat, log_lambdas):
+    """Per-block factors of the penalized Hessian at (log_lambdas, r_hat).
 
-    Returns ``(Hu, Pen, blocks, free, Wf, s, factors, traces)``: the
-    unpenalized Hessian Hu and the penalty Pen over (beta_non, free raw
-    coords), with increments pinned at zero left out; the smoothing blocks
-    as (slice, unit-lambda penalty) pairs, parents first and monotone last;
-    the free mask, the free columns of ``W`` and the monotone derivative at
-    every sample; per block the Cholesky factor of the diagonal block of
-    Hu + Pen with Hp_b^-1 Hu_b; and the per-block edf tr(Hp_b^-1 Hu_b).
-    Each block is taken with the other blocks' coefficients held fixed;
-    this keeps the lambda -> infinity limit at the penalty null-space
-    dimension per block even though the additive level is shared. The
-    state of the last point asked for is kept on the cache (exact match),
-    read-only, so ``edf`` in ``outer_objective`` and the ``outer_gradient``
-    that follows at the accepted point assemble and factor once.
+    Returns ``(blocks, free, Wf, s, factors, traces)``: the smoothing blocks,
+    parents first and monotone last, as (slice into (beta_non, free raw
+    coords), unit-lambda penalty, unpenalized diagonal block Hu_b, penalty
+    block Pen_b), with increments pinned at zero left out; the free mask,
+    the free columns of ``W`` and the monotone derivative at every sample;
+    per block the Cholesky factor of Hu_b + Pen_b with Hp_b^-1 Hu_b; and the
+    per-block edf tr(Hp_b^-1 Hu_b). A parent block is ``G_nn`` plus its
+    penalty, the monotone block ``G_mm`` plus the barrier Gram plus its
+    penalty, each read straight from the design Grams. Each block is taken
+    with the other blocks' coefficients held fixed; this keeps the lambda
+    -> infinity limit at the penalty null-space dimension per block even
+    though the additive level is shared. The state of the last point asked
+    for is kept on the cache (exact match), read-only, so the
+    ``outer_gradient`` that follows ``edf`` at the accepted point factors
+    only the joint matrix.
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
     key = np.concatenate([log_lambdas, r_hat])
-    if np.array_equal(key, cache._hess_key):
-        return cache._hess
+    if np.array_equal(key, cache._blocks_key):
+        return cache._blocks
     lambdas = np.exp(log_lambdas)
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
-    ff = np.ix_(free, free)
     s = _slopes(cache, r_hat)
-    Wf = cache.W if free.all() else cache.W[:, free]
+    Wf, G_mm, S_mon, K_mon = cache.W, cache.G_mm, cache.s_mon_raw(lambdas), cache.mon_gram_raw
+    if not free.all():
+        ff = np.ix_(free, free)
+        Wf, G_mm, S_mon, K_mon = Wf[:, free], G_mm[ff], S_mon[ff], K_mon[ff]
     Ws = Wf / s[:, None]
-    m = cache.m
-    k = m + Wf.shape[1]
+    S_non = cache.s_non(lambdas)
+    blocks = [(sl, gram, cache.G_nn[sl, sl], S_non[sl, sl])
+              for sl, gram in zip(cache.non_slices, cache.non_grams)]
+    blocks.append((slice(cache.m, cache.m + Wf.shape[1]), K_mon, G_mm + Ws.T @ Ws, S_mon))
+    factors = []
+    for _, _, Hu_b, Pen_b in blocks:
+        chol = _cho_factor(Hu_b + Pen_b, "penalized Hessian block")
+        factors.append((chol, _cho_solve(chol, Hu_b)))
+    for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
+                *(a for f in factors for a in f)):
+        arr.flags.writeable = False
+    traces = tuple(float(np.trace(W)) for _, W in factors)
+    state = (tuple(blocks), free, Wf, s, tuple(factors), traces)
+    cache._blocks_key, cache._blocks = key, state
+    return state
+
+
+def _factored_hessian(cache, r_hat, log_lambdas):
+    """Joint Hessian state at (log_lambdas, r_hat): ``(Hu, Pen, *state)``, the
+    unpenalized Hessian Hu and the penalty Pen over (beta_non, free raw
+    coords) followed by the block state of ``_block_factors``, which holds
+    their diagonal blocks. Only the outer gradient reads the joint matrices,
+    so they are assembled afresh for each call.
+    """
+    state = _block_factors(cache, r_hat, log_lambdas)
+    blocks, free = state[:2]
+    m, k = cache.m, blocks[-1][0].stop
     Hu = np.empty((k, k))
     Pen = np.zeros((k, k))
     Hu[:m, :m] = cache.G_nn
-    Hu[:m, m:] = cache.G_nm[:, free]
+    Hu[:m, m:] = cache.G_nm if free.all() else cache.G_nm[:, free]
     Hu[m:, :m] = Hu[:m, m:].T
-    Hu[m:, m:] = cache.G_mm[ff] + Ws.T @ Ws
-    Pen[:m, :m] = cache.s_non(lambdas)
-    Pen[m:, m:] = cache.s_mon_raw(lambdas)[ff]
-    blocks = list(zip(cache.non_slices, cache.non_grams))
-    blocks.append((slice(m, k), cache.mon_gram_raw[ff]))
-    factors = []
-    for sl, _ in blocks:
-        chol = _cho_factor(Hu[sl, sl] + Pen[sl, sl], "penalized Hessian block")
-        factors.append((chol, _cho_solve(chol, Hu[sl, sl])))
-    for arr in (Hu, Pen, free, Wf, s, blocks[-1][1], *(a for f in factors for a in f)):
-        arr.flags.writeable = False
-    traces = tuple(float(np.trace(W)) for _, W in factors)
-    state = (Hu, Pen, tuple(blocks), free, Wf, s, tuple(factors), traces)
-    cache._hess_key, cache._hess = key, state
-    return state
+    Hu[m:, m:] = blocks[-1][2]
+    for sl, _, _, Pen_b in blocks:
+        Pen[sl, sl] = Pen_b
+    return (Hu, Pen, *state)
 
 
 def edf(cache, r_hat, log_lambdas, per_block=False):
@@ -403,7 +425,7 @@ def edf(cache, r_hat, log_lambdas, per_block=False):
     With ``per_block=True`` also returns the per-block traces
     (parents first, monotone last).
     """
-    traces = _factored_hessian(cache, r_hat, log_lambdas)[-1]
+    traces = _block_factors(cache, r_hat, log_lambdas)[-1]
     total = float(sum(traces))
     if not per_block:
         return total
@@ -465,7 +487,7 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
 
     # d beta / d log lambda_b = -Hp^-1 (lambda_b G_b beta), one column per block
     rhs = np.zeros((beta.size, len(blocks)))
-    for col, (lam, (sl, gram)) in enumerate(zip(lambdas, blocks)):
+    for col, (lam, (sl, gram, _, _)) in enumerate(zip(lambdas, blocks)):
         rhs[sl, col] = lam * (gram @ beta[sl])
     dbeta = -_cho_solve(_cho_factor(Hu + Pen, "penalized Hessian"), rhs)
 
@@ -478,7 +500,7 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
 
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))
-                     for lam, (_, gram), (chol, W) in zip(lambdas, blocks, factors)])
+                     for lam, (_, gram, _, _), (chol, W) in zip(lambdas, blocks, factors)])
     dr = np.zeros((r_hat.size, len(blocks)))
     dr[free] = dbeta[cache.m:]
     return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta), dr

@@ -52,6 +52,9 @@ class WavyConfig:
         self.grid = np.asarray(self.grid, dtype=float)
         _check_fields(self, n=(8, np.inf), num_real_knots=(2, np.inf), seed=(0, np.inf),
                       num_pullback=(0, np.inf), fixed_monotone_log_lambda=LOG_LAMBDA_BOUNDS)
+        low, high = LOG_LAMBDA_BOUNDS
+        if not np.all((low <= self.grid) & (self.grid <= high)):
+            raise ValueError(f"grid values must lie in [{low}, {high}]")
         if self.grid.ndim != 1 or not self.grid.size or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be non-empty and strictly ascending")
 
@@ -79,9 +82,14 @@ def profile_lambda(config=None):
 
     Grid points whose fit fails numerically (``objective.FIT_FAILURES``)
     are recorded as NaN rows, rows whose inner solve did not converge are
-    logged as warnings, and any other exception propagates. The map fit adapts the same
-    parameter by gradient descent (same fixed monotone penalty) for
-    comparison with the grid argmin.
+    logged as warnings, and any other exception propagates. The map fit
+    adapts the same parameter by its quasi-Newton (BFGS) search (same fixed
+    monotone penalty) for comparison with the grid argmin.
+
+    The sweep is a continuation in ascending log lambda: each row's inner
+    solve starts from the secant through the two previous fitted rows,
+    scaled by the grid spacing, or from the one previous row. The first
+    row and the row after a failed one start cold.
     """
     config = config or WavyConfig()
     ensemble = config.generator(config.n, config.seed)
@@ -96,13 +104,16 @@ def profile_lambda(config=None):
 
     table = np.full((config.grid.size, 4), np.nan)
     fits = {}
+    path = []   # (log lambda, r_hat) of the last two fitted rows, newest first
     for i, logl in enumerate(config.grid):
         table[i, 0] = logl
         try:
             logls = np.array([logl, config.fixed_monotone_log_lambda])
-            aicc, report, r_hat = outer_objective(cache, logls)
+            aicc, report, r_hat = outer_objective(cache, logls, r0=_secant_start(path, logl))
         except FIT_FAILURES:
+            path = []
             continue
+        path = [(logl, r_hat), *path[:1]]
         if not report.converged:
             logger.warning("log lambda %g: inner solve unconverged, projected gradient %.3g",
                            logl, report.inner_grad_norm)
@@ -124,6 +135,19 @@ def profile_lambda(config=None):
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}
 
     return ProfileResult(table, clouds, argmin, float(reports[1].log_lambdas[0]), ensemble)
+
+
+def _secant_start(path, logl):
+    """Inner start at ``logl`` predicted from the fitted rows ``path``
+    (newest first): the secant through the last two, the last one alone,
+    or None (a cold start) when there is none."""
+    if not path:
+        return None
+    (l1, r1), *older = path
+    if not older:
+        return r1
+    l2, r2 = older[0]
+    return r1 + (r1 - r2) * (logl - l1) / (l1 - l2)
 
 
 def _representative(grid, argmin):

@@ -343,12 +343,18 @@ def test_mistyped_values_are_config_errors(tmp_path, gaussian_table, monkeypatch
     ("lorenz63", "run_filter", {"obs_interval": float("inf")}),
     ("lorenz63", "run_filter", {"dt": float("inf")}),
     ("lorenz63", "run_filter", {"dt": 5e-324}),
+    ("wavy", "profile_lambda", {"grid": [0.0, float("nan")]}),
+    ("wavy", "profile_lambda", {"grid": [0.0, 1e300]}),
+    ("wavy", "profile_lambda", {"grid": [float("-inf"), 0.0]}),
+    ("wavy", "profile_lambda", {"grid": [0.0, float("inf")]}),
+    ("wavy", "profile_lambda", {"grid": [-40, -20, 0, 20, 40]}),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, gaussian_table, monkeypatch,
                                                command, stubbed, doc):
     """Each config rejects its own range when it is built: too few knots,
     ensemble members, steps or draws, and start log-lambdas outside the
-    bounds of the search, and a non-finite Lorenz-63 step, observation interval,
+    bounds of the search, grid values outside those bounds or not finite,
+    and a non-finite Lorenz-63 step, observation interval,
     observation noise or step count per observation, exit with 2 before any
     work."""
     assert_config_error(tmp_path, gaussian_table, monkeypatch, command, stubbed, doc)

@@ -402,10 +402,10 @@ def test_edf_blocks_match_explicit_formula():
 
 
 def kept_states(monkeypatch):
-    """Record every Hessian state ``_factored_hessian`` hands out; a state
-    object not handed out before was assembled and factored by that call."""
-    build, states = objective._factored_hessian, []
-    monkeypatch.setattr(objective, "_factored_hessian",
+    """Record every block state ``_block_factors`` hands out; a state object
+    not handed out before was assembled and factored by that call."""
+    build, states = objective._block_factors, []
+    monkeypatch.setattr(objective, "_block_factors",
                         lambda *args: states.append(build(*args)) or states[-1])
     return states
 
@@ -415,51 +415,80 @@ def assembled(states):
     return sum(all(st is not prev for prev in states[:i]) for i, st in enumerate(states))
 
 
+def factored(monkeypatch):
+    """Record the name of every matrix ``_cho_factor`` factors."""
+    factor, names = objective._cho_factor, []
+    monkeypatch.setattr(objective, "_cho_factor",
+                        lambda a, what: names.append(what) or factor(a, what))
+    return names
+
+
 def test_hessian_state_kept_per_point(monkeypatch):
-    """outer_gradient reuses the Hessian state that edf factored at the same
-    (lambda, r_hat), bit for bit, and builds one new state at another r_hat."""
+    """outer_gradient reuses the block state that edf factored at the same
+    (lambda, r_hat), bit for bit, and factors only the joint matrix; at
+    another r_hat it builds one new block state. The block state is
+    read-only."""
     logl = np.array([0.5, -1.0, 1.5])
     cache = two_parent_cache()
     _, _, r_hat = outer_objective(cache, logl)
     other = feasible_raw(cache, seed=4)
     want = outer_gradient(two_parent_cache(), logl, r_hat=r_hat)
     want_other = outer_gradient(two_parent_cache(), logl, r_hat=other)
-    kept = cache._hess
-    states = kept_states(monkeypatch)
+    kept = cache._blocks
+    states, names = kept_states(monkeypatch), factored(monkeypatch)
     assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
     assert states and all(st is kept for st in states)
-    for arr in kept[:2]:
+    assert names == ["penalized Hessian"]
+    blocks, free, Wf, s, factors, _ = kept
+    for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
+                *(a for f in factors for a in f)):
         assert not arr.flags.writeable
     states.clear()
+    names.clear()
     assert np.array_equal(outer_gradient(cache, logl, r_hat=other), want_other)
     assert assembled(states) == 1 and states[0] is not kept
-    assert cache._hess is states[0]
+    assert cache._blocks is states[0]
+    assert names == ["penalized Hessian block"] * cache.num_blocks + ["penalized Hessian"]
     assert not np.array_equal(want_other, want)
 
 
 def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
-    counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
-    states = kept_states(monkeypatch)
+    """Each score factors one block state and never the joint matrix; each
+    gradient reuses the block state of its point and assembles and factors
+    only the joint matrix."""
+    counts = {"objective": 0, "gradient": 0, "joint": 0, "in_gradient": 0}
+    states, names = kept_states(monkeypatch), factored(monkeypatch)
     score = objective.outer_objective
     gradient = objective._outer_gradient_and_sensitivity
+    joint = objective._factored_hessian
 
     def counted_score(*args, **kwargs):
         counts["objective"] += 1
-        return score(*args, **kwargs)
+        before = counts["joint"]
+        out = score(*args, **kwargs)
+        assert counts["joint"] == before
+        return out
 
     def counted_gradient(*args, **kwargs):
         counts["gradient"] += 1
-        before = assembled(states)
+        before, names_before = assembled(states), len(names)
         out = gradient(*args, **kwargs)
         counts["in_gradient"] += assembled(states) - before
+        assert names[names_before:] == ["penalized Hessian"]
         return out
+
+    def counted_joint(*args):
+        counts["joint"] += 1
+        return joint(*args)
 
     monkeypatch.setattr(objective, "outer_objective", counted_score)
     monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted_gradient)
+    monkeypatch.setattr(objective, "_factored_hessian", counted_joint)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
     assert assembled(states) == counts["objective"]
     assert counts["in_gradient"] == 0
+    assert counts["joint"] == counts["gradient"]
 
 
 def test_edf_decreases_with_lambda(cache):

@@ -44,6 +44,12 @@ def test_config_validation():
         WavyConfig(n=4)
     with pytest.raises(ValueError):
         WavyConfig(grid=np.array([1.0, 0.0]))
+    # grid values the smoothing search can never reach, non-finite ones included
+    for grid in ([0.0, np.nan], [np.nan], [0.0, 1e300], [-np.inf, 0.0], [0.0, np.inf],
+                 [-40.0, -20.0, 0.0, 20.0, 40.0], [-15.5, 0.0]):
+        with pytest.raises(ValueError, match="grid values must lie in"):
+            WavyConfig(grid=np.array(grid))
+    assert WavyConfig(grid=[-15.0, 15.0]).grid.tolist() == [-15.0, 15.0]
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +187,77 @@ def test_profile_warns_on_unconverged_inner_solve(monkeypatch, caplog):
                 if rec.levelno == logging.WARNING]
     assert len(messages) == 1
     assert "log lambda -5" in messages[0] and "projected gradient" in messages[0]
+
+
+def cold_profile(monkeypatch, config, score):
+    """``profile_lambda`` with every grid row scored by ``score`` from a cold
+    inner start."""
+    with monkeypatch.context() as patch:
+        patch.setattr(wavy, "outer_objective",
+                      lambda cache, logls, r0=None: score(cache, logls))
+        return profile_lambda(config)
+
+
+def assert_same_profile(res, ref):
+    """The continued profile ``res`` agrees with the cold-start ``ref``: the
+    same failed rows and argmins, and table entries and clouds within the
+    inner solve's tolerance."""
+    assert np.array_equal(np.isnan(res.table), np.isnan(ref.table))
+    assert res.argmin_log_lambda == ref.argmin_log_lambda
+    assert res.adapted_log_lambda == ref.adapted_log_lambda
+    ok = np.isfinite(ref.table)
+    assert np.all(np.abs(res.table[ok] - ref.table[ok])
+                  <= 1e-7 * np.maximum(1.0, np.abs(ref.table[ok])))
+    assert sorted(res.clouds) == sorted(ref.clouds)
+    for logl, cloud in ref.clouds.items():
+        for kind, points in cloud.items():
+            assert np.abs(res.clouds[logl][kind] - points).max() <= 1e-7
+
+
+@pytest.mark.parametrize("grid", [None, [-6.0, -5.0, -3.0, 0.0, 4.0, 9.0]])
+def test_continuation_matches_cold_starts(monkeypatch, grid):
+    """Secant starts along the default grid and an uneven one reach the
+    rows that cold starts reach."""
+    config = WavyConfig(num_pullback=10) if grid is None else \
+        WavyConfig(grid=grid, num_pullback=10)
+    assert_same_profile(profile_lambda(config),
+                        cold_profile(monkeypatch, config, wavy.outer_objective))
+
+
+def test_continuation_restarts_after_a_failed_row(monkeypatch):
+    """The first row and the row after a failed one start cold, every other
+    row from the rows before it, and the table matches cold starts."""
+    config = WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10)
+    score = wavy.outer_objective
+    starts = []
+
+    def too_complex_at_zero(cache, logls, r0=None):
+        starts.append(r0)
+        if logls[0] == 0.0:
+            raise ModelTooComplexError("edf too large")
+        return score(cache, logls, r0=r0)
+
+    monkeypatch.setattr(wavy, "outer_objective", too_complex_at_zero)
+    res = profile_lambda(config)
+    failed = np.isnan(res.table[:, 3])
+    assert failed[4] and not failed[5:].any()
+    cold = [r0 is None for r0 in starts]
+    assert cold == [i == 0 or bool(failed[i - 1]) for i in range(config.grid.size)]
+    assert cold[5] and not all(cold)
+    assert_same_profile(res, cold_profile(monkeypatch, config, too_complex_at_zero))
+
+
+def test_continuation_cuts_inner_passes(monkeypatch):
+    """The grid rows of the default profile take at most 150 inner passes in
+    all; started cold they take 263."""
+    score = wavy.outer_objective
+    iters = []
+
+    def counted(cache, logls, r0=None):
+        out = score(cache, logls, r0=r0)
+        iters.append(out[1].inner_iters)
+        return out
+
+    monkeypatch.setattr(wavy, "outer_objective", counted)
+    profile_lambda(WavyConfig(num_pullback=50))
+    assert 0 < sum(iters) <= 150
