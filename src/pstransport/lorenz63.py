@@ -61,7 +61,8 @@ class Lorenz63Params:
 
 @dataclass
 class FilterRunResult:
-    """Per-run diagnostics of one twin experiment."""
+    """Per-run diagnostics of one twin experiment. ``mean_rmse`` is infinite
+    for a diverged run and NaN for a run of zero steps."""
 
     rmse_series: np.ndarray
     mean_rmse: float
@@ -197,7 +198,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
         if not np.isfinite(r) or r > DIVERGENCE_RMSE:
             diverged = True
             break
-    mean_rmse = float(rmse.mean()) if rmse.size and not diverged else np.inf
+    mean_rmse = np.inf if diverged else float(rmse.mean()) if rmse.size else np.nan
     return FilterRunResult(
         rmse_series=rmse, mean_rmse=mean_rmse, edf_fractions=edf_frac,
         diverged=diverged, seed=seed, steps_completed=completed,

@@ -10,14 +10,14 @@ derivative ``W r`` positive at every sample.
 
 ``DesignCache`` holds the design and its lambda-independent Gram
 matrices, the monotone block in raw coordinates. ``profile_operators``
-factors the nonmonotone system once per log-lambda and keeps the p x p
-Hessian of the reduced quadratic (a Schur complement of the Grams) with
-the operator giving the optimal nonmonotone coefficients. The inner
-solver judges steps on exact objective differences. The per-block
+factors the nonmonotone system once per log-lambda and keeps its factor,
+the p x p Hessian of the reduced quadratic (a Schur complement of the
+Grams) and the operator giving the optimal nonmonotone coefficients. The
+inner solver judges steps on exact objective differences. The per-block
 effective degrees of freedom come from each smoothing block's diagonal
-system, factored straight from the design Grams; only the outer
-gradient assembles and factors the joint Hessian over (beta_non, free
-raw coordinates).
+system, factored straight from the design Grams. The outer gradient
+eliminates beta_non through the kept factor, as the profile does, and
+factors only the inner Newton matrix at the optimum.
 
 Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
 AICc outer objective inside a trust radius. Its gradient, and the
@@ -183,13 +183,15 @@ class DesignCache:
     # -- reduced (profiled) objective --------------------------------------
 
     def profile_operators(self, log_lambdas):
-        """Operators (H, D, lambdas) of the reduced problem after eliminating beta_non.
+        """Operators (H, D, lambdas, chol) of the reduced problem after
+        eliminating beta_non.
 
         In raw monotone coordinates r, ``beta_non = -D @ r`` with ``D =
         (G_nn + S_non)^-1 G_nm`` are the optimal nonmonotone coefficients,
         ``H = G_mm - G_nm' D + T' S_mon T`` is the Hessian of the penalized
-        quadratic left in r, and ``lambdas = exp(log_lambdas)``. The operators
-        of the last log-lambdas asked for are kept (exact match), read-only.
+        quadratic left in r, ``lambdas = exp(log_lambdas)`` and ``chol`` is
+        the Cholesky factor of ``G_nn + S_non``. The operators of the last
+        log-lambdas asked for are kept (exact match), read-only.
         """
         key = np.array(log_lambdas, dtype=float)
         if np.array_equal(key, self._ops_key):
@@ -200,7 +202,7 @@ class DesignCache:
         chol = _cho_factor(self.G_nn + self.s_non(lambdas), "nonmonotone system")
         D = _cho_solve(chol, self.G_nm)
         H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
-        ops = (H, D, lambdas)
+        ops = (H, D, lambdas, chol)
         for arr in ops:
             arr.flags.writeable = False
         self._ops_key, self._ops = key, ops
@@ -366,7 +368,7 @@ def _block_factors(cache, r_hat, log_lambdas):
     though the additive level is shared. The state of the last point asked
     for is kept on the cache (exact match), read-only, so the
     ``outer_gradient`` that follows ``edf`` at the accepted point factors
-    only the joint matrix.
+    only the inner Newton matrix.
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
     key = np.concatenate([log_lambdas, r_hat])
@@ -396,27 +398,6 @@ def _block_factors(cache, r_hat, log_lambdas):
     state = (tuple(blocks), free, Wf, s, tuple(factors), traces)
     cache._blocks_key, cache._blocks = key, state
     return state
-
-
-def _factored_hessian(cache, r_hat, log_lambdas):
-    """Joint Hessian state at (log_lambdas, r_hat): ``(Hu, Pen, *state)``, the
-    unpenalized Hessian Hu and the penalty Pen over (beta_non, free raw
-    coords) followed by the block state of ``_block_factors``, which holds
-    their diagonal blocks. Only the outer gradient reads the joint matrices,
-    so they are assembled afresh for each call.
-    """
-    state = _block_factors(cache, r_hat, log_lambdas)
-    blocks, free = state[:2]
-    m, k = cache.m, blocks[-1][0].stop
-    Hu = np.empty((k, k))
-    Pen = np.zeros((k, k))
-    Hu[:m, :m] = cache.G_nn
-    Hu[:m, m:] = cache.G_nm if free.all() else cache.G_nm[:, free]
-    Hu[m:, :m] = Hu[:m, m:].T
-    Hu[m:, m:] = blocks[-1][2]
-    for sl, _, _, Pen_b in blocks:
-        Pen[sl, sl] = Pen_b
-    return (Hu, Pen, *state)
 
 
 def edf(cache, r_hat, log_lambdas, per_block=False):
@@ -477,33 +458,40 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows at the
     increments at or below ``PIN_TOL``, which the solve leaves out): both
     come from the one implicit-function solve."""
-    _, D, lambdas = cache.profile_operators(log_lambdas)
-    Hu, Pen, blocks, free, Wf, s, factors, traces = \
-        _factored_hessian(cache, r_hat, log_lambdas)
+    _, D, lambdas, chol_n = cache.profile_operators(log_lambdas)
+    blocks, free, Wf, s, factors, traces = _block_factors(cache, r_hat, log_lambdas)
     penprime = _aicc_penalty_deriv(sum(traces), cache.n)
     beta = np.concatenate([-D @ r_hat, r_hat[free]])
-    # unpenalized gradient at the optimum: minus the penalty gradient
-    gL = -Pen @ beta
 
-    # d beta / d log lambda_b = -Hp^-1 (lambda_b G_b beta), one column per block
+    # d beta / d log lambda_b = -(Hu + Pen)^-1 (lambda_b G_b beta), one column
+    # per block; the unpenalized gradient gL at the optimum is minus the
+    # penalty gradient, block by block (Pen is block-diagonal)
     rhs = np.zeros((beta.size, len(blocks)))
-    for col, (lam, (sl, gram, _, _)) in enumerate(zip(lambdas, blocks)):
+    gL = np.empty(beta.size)
+    for col, (lam, (sl, gram, _, Pen_b)) in enumerate(zip(lambdas, blocks)):
         rhs[sl, col] = lam * (gram @ beta[sl])
-    dbeta = -_cho_solve(_cho_factor(Hu + Pen, "penalized Hessian"), rhs)
+        gL[sl] = -Pen_b @ beta[sl]
+    # eliminate beta_non through the profile's factor of G_nn + S_non: its
+    # Schur complement in Hu + Pen is the inner Newton matrix at r_hat on the
+    # free raw coordinates
+    G_f, D_f = (cache.G_nm, D) if free.all() else (cache.G_nm[:, free], D[:, free])
+    N = blocks[-1][2] + blocks[-1][3] - G_f.T @ D_f
+    rhs_n = rhs[:cache.m]
+    dr_f = -_cho_solve(_cho_factor(N, "inner Newton matrix"), rhs[cache.m:] - D_f.T @ rhs_n)
+    dbeta = np.concatenate([-_cho_solve(chol_n, rhs_n) - D_f @ dr_f, dr_f])
 
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]
     V_m = _cho_solve(chol_m, np.eye(W_m.shape[0]))
     q = np.einsum("ij,ij->i", Wf @ (V_m - W_m @ V_m), Wf)
-    grad_edf = np.zeros(beta.size)
-    grad_edf[cache.m:] = -2.0 * Wf.T @ (q / s ** 3)
+    grad_edf = -2.0 * Wf.T @ (q / s ** 3)
 
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))
                      for lam, (_, gram, _, _), (chol, W) in zip(lambdas, blocks, factors)])
     dr = np.zeros((r_hat.size, len(blocks)))
-    dr[free] = dbeta[cache.m:]
-    return gL @ dbeta + penprime * (dedf + grad_edf @ dbeta), dr
+    dr[free] = dr_f
+    return gL @ dbeta + penprime * (dedf + grad_edf @ dr_f), dr
 
 
 # -- outer optimizer --------------------------------------------------------

@@ -301,8 +301,9 @@ class TriangularMap:
         """Map saved by ``to_dict``. Raises ValueError when an entry is missing,
         when the sizes, the block split, a component's own variable or its
         parents do not fit together, or when the names, block split, center,
-        scale, components, a degree, a knot, a coefficient or the smoothing
-        parameters are of the wrong type or out of their range."""
+        scale, components, an own variable, a parent or knot list, a degree,
+        a knot, a coefficient or the smoothing parameters are of the wrong
+        type or out of their range."""
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported map format version {doc.get('format_version')}")
         _require_keys(doc, MAP_KEYS, "saved map")
@@ -316,8 +317,11 @@ class TriangularMap:
             if not isinstance(cd, dict):
                 raise ValueError(f"component {j} must be null or an object, not {cd!r}")
             _require_keys(cd, COMPONENT_KEYS, f"component {j}")
-            if cd["own"] != j:
+            if not _is_int(cd["own"]) or cd["own"] != j:
                 raise ValueError(f"component {j} is saved with own variable {cd['own']!r}")
+            for key in ("parents", "non_knots"):
+                if not isinstance(cd[key], list):
+                    raise ValueError(f"component {j} {key} must be a list, not {cd[key]!r}")
             degree = cd["degree"]
             if not _is_int(degree) or degree < 0:
                 raise ValueError(f"component {j} degree must be a non-negative integer, "

@@ -190,7 +190,9 @@ def test_steps_completed_counts_finished_cycles(monkeypatch):
     assert res.diverged
     assert res.steps_completed == 2
     assert np.isfinite(res.rmse_series).sum() == 2
-    assert run_filter(Lorenz63Params(steps=0), 50, seed=0).steps_completed == 0
+    empty = run_filter(Lorenz63Params(steps=0), 50, seed=0)
+    assert empty.steps_completed == 0 and not empty.diverged
+    assert np.isnan(empty.mean_rmse) and empty.rmse_series.size == 0
 
 
 def test_inner_solves_converge_in_filter_runs(monkeypatch):

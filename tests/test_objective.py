@@ -191,29 +191,21 @@ def indefinite_nonmonotone_system(monkeypatch, cache, logl, r_hat):
 
 def indefinite_monotone_block(monkeypatch, cache, logl, r_hat):
     monkeypatch.setattr(cache, "s_mon_raw", lambda lambdas: -1e6 * np.eye(cache.p))
-    return lambda: objective._factored_hessian(cache, r_hat, logl)
+    return lambda: objective._block_factors(cache, r_hat, logl)
 
 
-def indefinite_joint_hessian(monkeypatch, cache, logl, r_hat):
-    """Scale the parent-monotone coupling of Hu after its diagonal blocks
-    are factored, so only the joint system fails."""
-    factored = objective._factored_hessian
-
-    def coupled(cache, r_hat, log_lambdas):
-        Hu, *rest = factored(cache, r_hat, log_lambdas)
-        Hu = Hu.copy()
-        Hu[:cache.m, cache.m:] *= 1e6
-        Hu[cache.m:, :cache.m] *= 1e6
-        return (Hu, *rest)
-
-    monkeypatch.setattr(objective, "_factored_hessian", coupled)
+def indefinite_gradient_newton_matrix(monkeypatch, cache, logl, r_hat):
+    """Scale the parent-monotone coupling the gradient subtracts after the
+    profile operators at logl are kept, so only the Schur complement that
+    the gradient factors, the inner Newton matrix at r_hat, fails."""
+    monkeypatch.setattr(cache, "G_nm", 1e6 * cache.G_nm)
     return lambda: objective._outer_gradient_and_sensitivity(cache, logl, r_hat)
 
 
 @pytest.mark.parametrize("break_matrix, name", [
     (indefinite_nonmonotone_system, "nonmonotone system"),
     (indefinite_monotone_block, "penalized Hessian block"),
-    (indefinite_joint_hessian, "penalized Hessian"),
+    (indefinite_gradient_newton_matrix, "inner Newton matrix"),
 ])
 def test_factorization_failures_name_their_matrix(monkeypatch, break_matrix, name):
     """Every Cholesky factorization of the fit names its matrix when it fails."""
@@ -297,15 +289,18 @@ def test_profile_operators_kept_per_lambda():
     cache.profile_operators(logl2)
     again = cache.profile_operators(logl1)
     fresh = two_parent_cache().profile_operators(logl1)
-    assert len(again) == 3
+    assert len(again) == 4
     for got, want in zip(again, fresh):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = 0.0
     assert np.array_equal(first[1], again[1])
-    H, D, lambdas = again
+    H, D, lambdas, chol = again
     assert np.array_equal(lambdas, np.exp(logl1))
+    A = cache.G_nn + cache.s_non(lambdas)
+    U = np.triu(chol)
+    assert np.max(np.abs(U.T @ U - A)) <= 1e-12 * np.max(np.abs(A))
     r = feasible_raw(cache)
     assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ r)
 
@@ -347,8 +342,8 @@ def test_parentless_component_runs_every_stage():
     """m == 0: the nonmonotone system is 0 x 0 and only the monotone block is left."""
     cache = no_parent_cache()
     logl = np.array([1.0])
-    _, D, _ = cache.profile_operators(logl)
-    assert D.shape == (0, cache.p)
+    _, D, _, chol = cache.profile_operators(logl)
+    assert D.shape == (0, cache.p) and chol.shape == (0, 0)
     r_hat, _, converged, _ = fit_inner(cache, logl)
     assert converged
     total, blocks = edf(cache, r_hat, logl, per_block=True)
@@ -364,7 +359,7 @@ def test_profile_operators_matches_profiled_design(make_cache):
     T r, T lower-triangular ones), with or without parents."""
     cache = make_cache()
     logl = np.r_[np.linspace(-1.0, 1.0, cache.num_blocks - 1), 1.5]
-    H, D, lambdas = cache.profile_operators(logl)
+    H, D, lambdas, _ = cache.profile_operators(logl)
     assert D.shape == (cache.m, cache.p)
     T = np.tril(np.ones((cache.p, cache.p)))
     A = cache.P_mon @ T - cache.P_non @ D
@@ -424,10 +419,10 @@ def factored(monkeypatch):
 
 
 def test_hessian_state_kept_per_point(monkeypatch):
-    """outer_gradient reuses the block state that edf factored at the same
-    (lambda, r_hat), bit for bit, and factors only the joint matrix; at
-    another r_hat it builds one new block state. The block state is
-    read-only."""
+    """outer_gradient reuses the profile operators and the block state that
+    edf factored at the same (lambda, r_hat), bit for bit, and factors only
+    the inner Newton matrix; at another r_hat it builds one new block state.
+    The block state is read-only."""
     logl = np.array([0.5, -1.0, 1.5])
     cache = two_parent_cache()
     _, _, r_hat = outer_objective(cache, logl)
@@ -438,7 +433,7 @@ def test_hessian_state_kept_per_point(monkeypatch):
     states, names = kept_states(monkeypatch), factored(monkeypatch)
     assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
     assert states and all(st is kept for st in states)
-    assert names == ["penalized Hessian"]
+    assert names == ["inner Newton matrix"]
     blocks, free, Wf, s, factors, _ = kept
     for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
                 *(a for f in factors for a in f)):
@@ -448,47 +443,61 @@ def test_hessian_state_kept_per_point(monkeypatch):
     assert np.array_equal(outer_gradient(cache, logl, r_hat=other), want_other)
     assert assembled(states) == 1 and states[0] is not kept
     assert cache._blocks is states[0]
-    assert names == ["penalized Hessian block"] * cache.num_blocks + ["penalized Hessian"]
+    assert names == ["penalized Hessian block"] * cache.num_blocks + ["inner Newton matrix"]
     assert not np.array_equal(want_other, want)
 
 
 def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
-    """Each score factors one block state and never the joint matrix; each
-    gradient reuses the block state of its point and assembles and factors
-    only the joint matrix."""
-    counts = {"objective": 0, "gradient": 0, "joint": 0, "in_gradient": 0}
+    """Each score factors one block state; each gradient reuses the block
+    state and the profile operators of its point and factors only the
+    inner Newton matrix."""
+    counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
     states, names = kept_states(monkeypatch), factored(monkeypatch)
     score = objective.outer_objective
     gradient = objective._outer_gradient_and_sensitivity
-    joint = objective._factored_hessian
 
     def counted_score(*args, **kwargs):
         counts["objective"] += 1
-        before = counts["joint"]
-        out = score(*args, **kwargs)
-        assert counts["joint"] == before
-        return out
+        return score(*args, **kwargs)
 
     def counted_gradient(*args, **kwargs):
         counts["gradient"] += 1
         before, names_before = assembled(states), len(names)
         out = gradient(*args, **kwargs)
         counts["in_gradient"] += assembled(states) - before
-        assert names[names_before:] == ["penalized Hessian"]
+        assert names[names_before:] == ["inner Newton matrix"]
         return out
-
-    def counted_joint(*args):
-        counts["joint"] += 1
-        return joint(*args)
 
     monkeypatch.setattr(objective, "outer_objective", counted_score)
     monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted_gradient)
-    monkeypatch.setattr(objective, "_factored_hessian", counted_joint)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
     assert assembled(states) == counts["objective"]
     assert counts["in_gradient"] == 0
-    assert counts["joint"] == counts["gradient"]
+
+
+@pytest.mark.parametrize("make, logl, num_pinned", [
+    (gaussian_cache, [1.0, 2.0], 0),
+    (gaussian_cache, [-6.0, -3.0], 1),
+    (two_parent_cache, [0.5, -1.0, 1.5], 0),
+    (no_parent_cache, [1.0], 1),
+])
+def test_sensitivity_matches_refit_finite_differences(make, logl, num_pinned):
+    """The implicit-function sensitivity d r_hat / d log lambda_b, read
+    through the slopes W (which ignore the level, confounded with the parent
+    constants), matches central differences of refitted inner optima, also
+    where an increment is pinned at zero."""
+    cache, logl, h = make(), np.array(logl), 1e-4
+    r_hat = fit_inner(cache, logl)[0]
+    pinned = r_hat[1:] <= objective.PIN_TOL
+    assert pinned.sum() == num_pinned
+    dr = objective._outer_gradient_and_sensitivity(cache, logl, r_hat)[1]
+    assert not dr[1:][pinned].any()
+    for b in range(logl.size):
+        step = h * np.eye(logl.size)[b]
+        r_up, r_down = fit_inner(cache, logl + step)[0], fit_inner(cache, logl - step)[0]
+        fd = cache.W @ (r_up - r_down) / (2 * h)
+        assert np.abs(cache.W @ dr[:, b] - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_edf_decreases_with_lambda(cache):

@@ -426,6 +426,12 @@ def set_at(doc, path, value):
     (("components", 2, "log_lambdas"), [1.0], r"log_lambdas must be finite, one per block \(3\)"),
     (("components", 1, "own"), MISSING, "component 1 has no 'own' entry"),
     (("scale",), MISSING, "saved map has no 'scale' entry"),
+    (("components", 1, "own"), True, "component 1 is saved with own variable True"),
+    (("components", 2, "own"), 2.0, "component 2 is saved with own variable 2.0"),
+    (("components", 1, "parents"), 5, "component 1 parents must be a list, not 5"),
+    (("components", 2, "parents"), None, "component 2 parents must be a list, not None"),
+    (("components", 1, "non_knots"), 5, "component 1 non_knots must be a list, not 5"),
+    (("components", 2, "non_knots"), None, "component 2 non_knots must be a list"),
 ])
 def test_load_rejects_inconsistent_maps(saved_sparse_map, path, value, match):
     """A saved map is outside input: its sizes, block split, names, own
