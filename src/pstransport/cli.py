@@ -195,6 +195,14 @@ def _one_l63_run(args):
     return run_filter(params, n, seed, method=method)
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_lorenz63(config_path, out_dir, threads):
     doc = _load_config(config_path, ["methods", "n_grid", "seeds", *_keys(Lorenz63Params)])
     methods = _typed("methods", doc.get("methods", list(METHODS)), list)
@@ -213,9 +221,9 @@ def cmd_lorenz63(config_path, out_dir, threads):
 
     jobs = [(params, n, seed, method)
             for method in methods for n in n_grid for seed in seeds]
-    threads = threads or os.cpu_count() or 1
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or _usable_cpus(), len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_l63_run, jobs))
     else:
         results = [_one_l63_run(job) for job in jobs]
@@ -269,7 +277,8 @@ def build_parser():
         if name == "lorenz63":
             p.add_argument("--threads", type=_worker_count, default=0,
                            help="worker processes (they do not change the output); "
-                                "at least 0; 0 picks the CPU count")
+                                "at least 0; 0 picks the usable CPU count; "
+                                "never more than the runs")
     return parser
 
 

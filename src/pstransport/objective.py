@@ -9,15 +9,22 @@ increments, with the log term acting as a barrier that keeps the
 derivative ``W r`` positive at every sample.
 
 ``DesignCache`` holds the design and its lambda-independent Gram
-matrices, the monotone block in raw coordinates. ``profile_operators``
-factors the nonmonotone system once per log-lambda and keeps its factor,
-the p x p Hessian of the reduced quadratic (a Schur complement of the
-Grams) and the operator giving the optimal nonmonotone coefficients. The
-inner solver judges steps on exact objective differences. The per-block
-effective degrees of freedom come from each smoothing block's diagonal
-system, factored straight from the design Grams. The outer gradient
-eliminates beta_non through the kept factor, as the profile does, and
-factors only the inner Newton matrix at the optimum.
+matrices, the monotone block in raw coordinates. What is fixed at a
+coarser scope is built once there: the penalty Grams, the raw-coordinate
+map and the ridges once per block size (``_penalty_terms``), and the
+Greville start once per monotone basis. ``profile_operators`` factors the
+nonmonotone system once per log-lambda and keeps its factor, the p x p
+Hessian of the reduced quadratic (a Schur complement of the Grams), the
+operator giving the optimal nonmonotone coefficients and the two
+penalties they were built from. The inner solver judges steps on exact
+objective differences, and forms the rounding floor of its stop test
+only where a bound of it, taken once per inner solve, can be met. The
+per-block effective degrees of freedom come from each smoothing block's
+diagonal system, factored straight from the design Grams and the kept
+penalties; a single parent block is the nonmonotone system itself and
+takes its factor. The outer gradient eliminates beta_non through the kept
+factor, as the profile does, and factors only the inner Newton matrix at
+the optimum.
 
 Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
 AICc outer objective inside a trust radius. Its gradient, and the
@@ -36,9 +43,12 @@ retried.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+from .splines import make_penalty
 
 __all__ = [
     "DesignCache",
@@ -98,6 +108,29 @@ class ModelTooComplexError(RuntimeError):
 FIT_FAILURES = (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgError)
 
 
+@lru_cache(maxsize=8)
+def _penalty_terms(size, order):
+    """Read-only matrices fixed by a block size and penalty order: the map
+    ``T`` from raw monotone coordinates to coefficients (lower-triangular
+    ones), the penalty Gram ``K``, ``T' K T``, ``RIDGE T' T`` and ``RIDGE I``.
+    A map fit's blocks share a few sizes, so each is built once."""
+    T = np.tril(np.ones((size, size)))
+    K = make_penalty(size, order).gram
+    terms = (T, K, T.T @ K @ T, RIDGE * (T.T @ T), RIDGE * np.eye(size))
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
+def _greville_start(basis):
+    """Raw coordinates of the Greville coefficients, increments floored at
+    1e-8: a feasible, identity-like monotone start; read-only."""
+    beta = basis.greville()
+    start = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
+    start.flags.writeable = False
+    return start
+
+
 class DesignCache:
     """Precomputed design matrices for one component fit.
 
@@ -117,8 +150,6 @@ class DesignCache:
 
     def __init__(self, non_bases, parent_samples, mon_basis, own_samples,
                  penalty_order=2):
-        from .splines import make_penalty
-
         own_samples = np.asarray(own_samples, dtype=float)
         n = own_samples.size
         self.n = n
@@ -143,20 +174,17 @@ class DesignCache:
         # raw coordinates r (beta_mon = T r): slopes W r are sums of nonnegative
         # terms, and the monotone Grams and penalty below act on r
         self.W = np.ascontiguousarray(mon_basis.eval_deriv_increments(own_samples))
-        T = np.tril(np.ones((self.p, self.p)))
+        T, self.mon_gram, self.mon_gram_raw, self.ridge_raw, self._ridge_mon = \
+            _penalty_terms(self.p, penalty_order)
         P_raw = self.P_mon @ T
         self.G_nn = self.P_non.T @ self.P_non
         self.G_nm = self.P_non.T @ P_raw
         self.G_mm = P_raw.T @ P_raw
-        self.non_grams = [make_penalty(s, penalty_order).gram for s in self.block_sizes]
-        self.mon_gram = make_penalty(self.p, penalty_order).gram
-        self.mon_gram_raw = T.T @ self.mon_gram @ T
-        self.ridge_raw = RIDGE * (T.T @ T)
+        self.non_grams = [_penalty_terms(s, penalty_order)[1] for s in self.block_sizes]
         self.num_blocks = len(self.block_sizes) + 1
-        beta = mon_basis.greville()
-        self._start_raw = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
+        self._start_raw = mon_basis._kept("greville_start", _greville_start)
         self._ridge_non = RIDGE * np.eye(self.m)
-        self._ops_key, self._ops = None, None
+        self._point_key, self._point_state = None, None
         self._blocks_key, self._blocks = None, None
 
     # -- penalty assembly ---------------------------------------------------
@@ -170,7 +198,7 @@ class DesignCache:
 
     def s_mon(self, lambdas):
         """Monotone-coefficient penalty (plus ridge), acting on cumsum(beta_raw)."""
-        return lambdas[-1] * self.mon_gram + RIDGE * np.eye(self.p)
+        return lambdas[-1] * self.mon_gram + self._ridge_mon
 
     def s_mon_raw(self, lambdas):
         """``T' s_mon(lambdas) T``: the monotone penalty acting on beta_raw."""
@@ -193,20 +221,27 @@ class DesignCache:
         the Cholesky factor of ``G_nn + S_non``. The operators of the last
         log-lambdas asked for are kept (exact match), read-only.
         """
+        return self._point(log_lambdas)[0]
+
+    def _point(self, log_lambdas):
+        """``(profile_operators(log_lambdas), (S_non, S_mon_raw))``: the
+        operators and the two penalties they were built from, which the
+        block factors of the same point read; kept with them, read-only."""
         key = np.array(log_lambdas, dtype=float)
-        if np.array_equal(key, self._ops_key):
-            return self._ops
+        if np.array_equal(key, self._point_key):
+            return self._point_state
         lambdas = np.exp(key)
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
-        chol = _cho_factor(self.G_nn + self.s_non(lambdas), "nonmonotone system")
+        S_non, S_mon_raw = self.s_non(lambdas), self.s_mon_raw(lambdas)
+        chol = _cho_factor(self.G_nn + S_non, "nonmonotone system")
         D = _cho_solve(chol, self.G_nm)
-        H = self.G_mm - self.G_nm.T @ D + self.s_mon_raw(lambdas)
+        H = self.G_mm - self.G_nm.T @ D + S_mon_raw
         ops = (H, D, lambdas, chol)
-        for arr in ops:
+        for arr in (*ops, S_non, S_mon_raw):
             arr.flags.writeable = False
-        self._ops_key, self._ops = key, ops
-        return ops
+        self._point_key, self._point_state = key, (ops, (S_non, S_mon_raw))
+        return self._point_state
 
 
 @dataclass
@@ -287,17 +322,27 @@ def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
 # -- inner solver -----------------------------------------------------------
 
 
-def _stationarity(H, r, grad, Hr):
+def _rounding_bound(H):
+    """``max_i sum_j |H_ij|``, padded by 1e-6 relative to cover the rounding
+    of both sums: times ``max |r|`` it bounds the largest ``|H| |r|``."""
+    return float(np.abs(H).sum(axis=1).max()) * (1.0 + 1e-6)
+
+
+def _stationarity(H, r, grad, Hr, bound):
     """(converged, projected gradient norm, pinned mask); the test is scaled
     by the size of the gradient's two terms, ``H r`` and ``W'(1/s)``, and
-    floored at the rounding of ``H r``, which can exceed it at large lambda."""
+    floored at the rounding of ``H r``, the largest ``|H| |r|`` in eps,
+    which can exceed it at large lambda. ``bound`` is ``_rounding_bound(H)``:
+    the floor is formed only where the gradient is within its bound."""
     pinned = (r <= PIN_TOL) & (grad > 0)
     pinned[0] = False   # the level is unconstrained
     g = np.where(pinned, 0.0, grad)
     pg_norm = float(np.sqrt(g @ g))
     scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
-    converged = pg_norm <= INNER_TOL * scale or \
-        pg_norm <= ROUNDING_ULPS * np.finfo(float).eps * float((np.abs(H) @ np.abs(r)).max())
+    eps = ROUNDING_ULPS * np.finfo(float).eps
+    converged = pg_norm <= INNER_TOL * scale or (
+        pg_norm <= eps * bound * float(np.abs(r).max())
+        and pg_norm <= eps * float((np.abs(H) @ np.abs(r)).max()))
     return converged, pg_norm, pinned
 
 
@@ -315,13 +360,14 @@ def fit_inner(cache, log_lambdas, r0=None):
     iterations is 1 for a converged start and ``INNER_MAX_ITER`` at the cap.
     """
     H = cache.profile_operators(log_lambdas)[0]
+    bound = _rounding_bound(H)
     r = cache.default_raw() if r0 is None else np.array(r0, dtype=float)
     r[1:] = np.maximum(r[1:], 0.0)
     if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
     for it in range(1, INNER_MAX_ITER + 2):
         s, Hr, grad = _newton_state(cache, H, r)
-        converged, pg_norm, pinned = _stationarity(H, r, grad, Hr)
+        converged, pg_norm, pinned = _stationarity(H, r, grad, Hr, bound)
         if converged or it > INNER_MAX_ITER:
             break
         hess = _newton_hessian(cache, H, s)
@@ -365,31 +411,34 @@ def _block_factors(cache, r_hat, log_lambdas):
     penalty, each read straight from the design Grams. Each block is taken
     with the other blocks' coefficients held fixed; this keeps the lambda
     -> infinity limit at the penalty null-space dimension per block even
-    though the additive level is shared. The state of the last point asked
-    for is kept on the cache (exact match), read-only, so the
-    ``outer_gradient`` that follows ``edf`` at the accepted point factors
-    only the inner Newton matrix.
+    though the additive level is shared. The penalties are the ones the
+    profile operators of ``log_lambdas`` were built from, and a single
+    parent block, ``G_nn + S_non`` itself, takes the profile's factor. The
+    state of the last point asked for is kept on the cache (exact match),
+    read-only, so the ``outer_gradient`` that follows ``edf`` at the
+    accepted point factors only the inner Newton matrix.
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
     key = np.concatenate([log_lambdas, r_hat])
     if np.array_equal(key, cache._blocks_key):
         return cache._blocks
-    lambdas = np.exp(log_lambdas)
+    (_, _, _, chol_non), (S_non, S_mon) = cache._point(log_lambdas)
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
     s = _slopes(cache, r_hat)
-    Wf, G_mm, S_mon, K_mon = cache.W, cache.G_mm, cache.s_mon_raw(lambdas), cache.mon_gram_raw
+    Wf, G_mm, K_mon = cache.W, cache.G_mm, cache.mon_gram_raw
     if not free.all():
         ff = np.ix_(free, free)
         Wf, G_mm, S_mon, K_mon = Wf[:, free], G_mm[ff], S_mon[ff], K_mon[ff]
     Ws = Wf / s[:, None]
-    S_non = cache.s_non(lambdas)
     blocks = [(sl, gram, cache.G_nn[sl, sl], S_non[sl, sl])
               for sl, gram in zip(cache.non_slices, cache.non_grams)]
     blocks.append((slice(cache.m, cache.m + Wf.shape[1]), K_mon, G_mm + Ws.T @ Ws, S_mon))
     factors = []
-    for _, _, Hu_b, Pen_b in blocks:
-        chol = _cho_factor(Hu_b + Pen_b, "penalized Hessian block")
+    for i, (_, _, Hu_b, Pen_b) in enumerate(blocks):
+        # a single parent block is G_nn + S_non, the matrix the profile factored
+        chol = chol_non if i == 0 and len(blocks) == 2 else \
+            _cho_factor(Hu_b + Pen_b, "penalized Hessian block")
         factors.append((chol, _cho_solve(chol, Hu_b)))
     for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
                 *(a for f in factors for a in f)):

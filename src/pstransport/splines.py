@@ -18,6 +18,14 @@ every basis function, so the tables are identical to it bit for bit.
 
 ``PiecewisePolynomial`` holds a fitted expansion ``eval(x) @ coef`` in
 piecewise polynomial form for repeated reading.
+
+What depends on the knots alone is built once per basis and kept on it,
+read-only (``SplineBasis._kept``): the parts of the pp conversion that no
+coefficient enters (the span lookup, span origins and inverse widths, the
+basis table at the knots, the increment table at the slope nodes and
+the nodes' Vandermonde matrices), and the tables that ``component`` and
+``objective`` key on the basis. Every expansion on one basis, and every
+component of a map fit that reads the same variable, shares them.
 """
 
 import logging
@@ -171,6 +179,18 @@ class SplineBasis:
         self._slope_first, self._slope_last = increments[:, :-1] - increments[:, 1:]
         # eval_deriv_increments at both ends
         self._end_increments = increments[:, :-1]
+        self._tables = {}
+
+    def _kept(self, name, build):
+        """``build(self)``, built at the first call for ``name`` and kept.
+
+        For tables fixed by the knots, which every expansion on this basis
+        reads; ``build`` returns them read-only.
+        """
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = build(self)
+        return table
 
     def _local(self, x, level):
         """Nonzero basis functions of degree ``level`` at interior x.
@@ -306,8 +326,8 @@ class PiecewisePolynomial:
         coef = np.asarray(coef, dtype=float)
         d = basis.degree
         real = basis.knots.real
-        h = real[1:] - real[:-1]
-        inv_h = 1.0 / h
+        self._piece, self._origin, self._inv_h, at_knots, at_nodes, vandermonde = \
+            basis._kept("pp", _pp_tables)
         # slopes in increment form, sum_j W_j(x) (c_j - c_{j-1}): a tail slope is
         # one such product, exactly 0 when its two coefficients are equal
         increments = coef.copy()
@@ -315,28 +335,15 @@ class PiecewisePolynomial:
         self.ends = (real[0], real[-1])
         self.end_values = (basis._val_first @ coef, basis._val_last @ coef)
         self.end_slopes = tuple(basis._end_increments @ increments)
-        # piece e serves searchsorted(real, x, "right") == e: 0 is the left
-        # tail, 1..K-1 the spans, K the right tail
-        self._piece = SortedLookup(real)
-        self._origin = np.concatenate([real[:1], real])
-        self._inv_h = np.concatenate([[1.0], inv_h, [1.0]])
         self._value = np.zeros((d + 1, real.size + 1))
-        # the knots and the nodes below lie in the real range: the basis tables
-        # of eval and eval_deriv_increments, without their input checks
-        self._value[0] = np.concatenate([[self.end_values[0]],
-                                         basis._interior(real[:-1]) @ coef,
+        self._value[0] = np.concatenate([[self.end_values[0]], at_knots @ coef,
                                          [self.end_values[1]]])
         # degree 0: one zero row, so the slope is 0 without a branch
         self._slope = np.zeros((max(d, 1), real.size + 1))
         if d == 0:
             return
-        at = real[:-1] + (np.arange(d)[:, None] + 0.5) / d * h
-        # interpolate at the local coordinates __call__ computes for these
-        # nodes, not at the nominal ones: on a short span far from 0 the
-        # rounding of t_i + u*h is a large error in u
-        u = ((at - real[:-1]) * inv_h).T
-        slopes = (basis._increments(at.ravel())[:, :-1] @ increments).reshape(d, h.size).T
-        power = np.linalg.solve(u[:, :, None] ** np.arange(d), slopes[:, :, None])
+        slopes = (at_nodes @ increments).reshape(d, real.size - 1).T
+        power = np.linalg.solve(vandermonde, slopes[:, :, None])
         self._slope[:, 1:-1] = power[:, :, 0].T
         self._slope[0, [0, -1]] = self.end_slopes
         self._value[1:] = self._slope / np.arange(1, d + 1)[:, None] / self._inv_h
@@ -396,6 +403,8 @@ class SortedLookup:
         self.steps = int((first[1:] - first[:-1]).max())
         # NaN after the last break: x >= NaN is false, so a count stops at len(breaks)
         self._breaks = np.concatenate((breaks, [np.nan]))
+        # read only, so one lookup can serve every expansion on a basis
+        self._below.flags.writeable = self._breaks.flags.writeable = False
 
     def _cell(self, x):
         # fmax/fmin clamp NaN as well, so the integer cast sees only finite values
@@ -408,6 +417,38 @@ class SortedLookup:
         for _ in range(self.steps):
             e += x >= self._breaks.take(e)
         return e
+
+
+def _pp_tables(basis):
+    """What ``PiecewisePolynomial`` reads of its basis, read-only: the span
+    lookup; per piece the origin and inverse width (1 on the tails); the
+    basis table at the knots and the increment table at the slope nodes,
+    without the input checks of ``eval`` and ``eval_deriv_increments`` (all
+    lie in the real range); and per span the Vandermonde matrix of the
+    slope nodes. The node tables are None at degree 0, which has no slope.
+    """
+    d = basis.degree
+    real = basis.knots.real
+    h = real[1:] - real[:-1]
+    inv_h = 1.0 / h
+    # piece e serves searchsorted(real, x, "right") == e: 0 is the left
+    # tail, 1..K-1 the spans, K the right tail
+    lookup = SortedLookup(real)
+    arrays = [np.concatenate([real[:1], real]), np.concatenate([[1.0], inv_h, [1.0]]),
+              basis._interior(real[:-1])]
+    if d == 0:
+        arrays += [None, None]
+    else:
+        at = real[:-1] + (np.arange(d)[:, None] + 0.5) / d * h
+        # interpolate at the local coordinates __call__ computes for these
+        # nodes, not at the nominal ones: on a short span far from 0 the
+        # rounding of t_i + u*h is a large error in u
+        u = ((at - real[:-1]) * inv_h).T
+        arrays += [basis._increments(at.ravel())[:, :-1], u[:, :, None] ** np.arange(d)]
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return (lookup, *arrays)
 
 
 def _horner(table, e, u):

@@ -397,12 +397,15 @@ def fit(ensemble, parent_sets, config=None):
     Z = tri._std(ensemble.data)
     first = 0 if config.fit_upper else config.block_split
     reports = [None] * ensemble.dim
+    bases = {}
     for j in range(first, ensemble.dim):
         with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
-            cache, kept_parents = _component_design(Z, j, parent_sets[j], config)
+            cache, kept_parents = _component_design(Z, j, parent_sets[j], config, bases)
             logl0 = np.full(cache.num_blocks, config.init_log_lambda)
             if warm and warm[j] is not None:
-                logl0 = np.array(warm[j], dtype=float)
+                # a dropped parent drops its entry of the warm start too
+                kept = [k for k, p in enumerate(parent_sets[j]) if p in kept_parents]
+                logl0 = np.asarray(warm[j], dtype=float)[kept + [len(parent_sets[j])]]
             mask = np.full(cache.num_blocks, config.adapt)
             if config.monotone_log_lambda is not None:
                 logl0[-1] = config.monotone_log_lambda
@@ -412,22 +415,32 @@ def fit(ensemble, parent_sets, config=None):
     return tri, reports
 
 
-def _component_design(Z, j, parents, config):
-    """Knots, kept parents and DesignCache of component j on standardized Z.
+def _component_design(Z, j, parents, config, bases):
+    """DesignCache and kept parents of component j on standardized Z.
 
-    Constant parents are dropped with a warning.
+    ``bases`` holds, per variable of Z read so far in this map fit, its
+    basis or the DegenerateDimensionError of its constant column, so the
+    components that read a variable share one basis. A constant own
+    variable raises that error; constant parents are dropped with a warning.
     """
-    mon_basis = SplineBasis(make_knots(Z[:, j], num_real_knots=config.num_real_knots))
-    non_bases, kept_parents = [], []
+    def basis(v):
+        if v not in bases:
+            try:
+                bases[v] = SplineBasis(make_knots(Z[:, v], num_real_knots=config.num_real_knots))
+            except DegenerateDimensionError as exc:
+                bases[v] = exc
+        return bases[v]
+
+    mon_basis = basis(j)
+    if isinstance(mon_basis, DegenerateDimensionError):
+        raise mon_basis
+    kept_parents = []
     for p in parents:
-        try:
-            kv = make_knots(Z[:, p], num_real_knots=config.num_real_knots)
-        except DegenerateDimensionError:
+        if isinstance(basis(p), DegenerateDimensionError):
             logger.warning("dropping constant parent %d of component %d", p, j)
-            continue
-        non_bases.append(SplineBasis(kv))
-        kept_parents.append(p)
-    cache = DesignCache(non_bases, [Z[:, p] for p in kept_parents],
+        else:
+            kept_parents.append(p)
+    cache = DesignCache([bases[p] for p in kept_parents], [Z[:, p] for p in kept_parents],
                         mon_basis, Z[:, j])
     return cache, kept_parents
 

@@ -233,17 +233,60 @@ def test_lorenz_outputs_and_summary_consistency(tmp_path):
 
 
 def test_lorenz_rerun_byte_identical(tmp_path):
-    """A rerun gives the same bytes, whatever the number of worker processes."""
+    """A rerun gives the same bytes, whatever the number of worker processes:
+    two runs in this process and in a pool of two."""
     cfg = write_json(tmp_path / "l.json",
                      {"methods": ["transport"], "n_grid": [50],
-                      "seeds": [0], "steps": 3})
+                      "seeds": [0, 1], "steps": 3})
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["lorenz63", "--config", cfg, "--out", out1, "--threads", 1]) == 0
     assert run(["lorenz63", "--config", cfg, "--out", out2, "--threads", 2]) == 0
-    f1 = (out1 / "run_transport_n50_seed0.tsv").read_bytes()
-    f2 = (out2 / "run_transport_n50_seed0.tsv").read_bytes()
-    assert f1 == f2
-    assert (out1 / "summary.tsv").read_bytes() == (out2 / "summary.tsv").read_bytes()
+    for name in ("run_transport_n50_seed0.tsv", "run_transport_n50_seed1.tsv", "summary.tsv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process, so a test starts no process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, threads, seeds, pool", [
+    (64, 0, [0, 1], 2),      # the pool never outgrows the runs
+    (64, 3, [0, 1], 2),
+    (64, 3, [0, 1, 2, 3], 3),
+    (3, 0, [0, 1, 2, 3], 3),  # 0 takes the CPUs the process may use
+    (1, 0, [0, 1], None),     # one worker runs in this process
+    (64, 1, [0, 1], None),
+    (64, 0, [0], None),       # so does one run
+])
+def test_lorenz_worker_count(tmp_path, monkeypatch, cpus, threads, seeds, pool):
+    """--threads 0 reads the process's CPU affinity, not the machine's CPU
+    count, and the pool is capped at the number of runs."""
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2 * cpus + 64)
+    cfg = write_json(tmp_path / "l.json", {"methods": ["linear-baseline"], "n_grid": [20],
+                                           "seeds": seeds, "steps": 1})
+    assert run(["lorenz63", "--config", cfg, "--out", tmp_path / "o", "--threads", threads]) == 0
+    assert RecordingPool.workers == ([] if pool is None else [pool])
+    summary = (tmp_path / "o" / "summary.tsv").read_text().splitlines()
+    assert len(summary) == 2 + len(seeds)
 
 
 class Captured(Exception):

@@ -190,8 +190,11 @@ def indefinite_nonmonotone_system(monkeypatch, cache, logl, r_hat):
 
 
 def indefinite_monotone_block(monkeypatch, cache, logl, r_hat):
+    """Break the monotone penalty and ask for the block factors at a new
+    point: the profile operators built there keep the broken penalty, which
+    the block factors read."""
     monkeypatch.setattr(cache, "s_mon_raw", lambda lambdas: -1e6 * np.eye(cache.p))
-    return lambda: objective._block_factors(cache, r_hat, logl)
+    return lambda: objective._block_factors(cache, r_hat, logl + 1.0)
 
 
 def indefinite_gradient_newton_matrix(monkeypatch, cache, logl, r_hat):
@@ -254,6 +257,102 @@ def test_inner_solve_stops_at_the_rounding_of_h_r(monkeypatch):
     rounding = np.finfo(float).eps * float(np.abs(r) @ np.abs(H) @ np.abs(r))
     value = reduced_penalized_objective(cache, r, logl)[0]
     assert value - reduced_penalized_objective(cache, r_cap, logl)[0] <= rounding
+
+
+def exact_stationarity(H, r, grad, Hr):
+    """The inner stop decision with the rounding floor always formed."""
+    pinned = (r <= objective.PIN_TOL) & (grad > 0)
+    pinned[0] = False
+    g = np.where(pinned, 0.0, grad)
+    pg_norm = float(np.sqrt(g @ g))
+    scale = max(1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
+    floor = objective.ROUNDING_ULPS * np.finfo(float).eps * float((np.abs(H) @ np.abs(r)).max())
+    return pg_norm <= objective.INNER_TOL * scale or pg_norm <= floor, pg_norm, floor
+
+
+def stationarity_cases():
+    """(H, r, Hr - grad) triples: random well-scaled ones, ones where r lies
+    in the near-null space of a huge H (H r cancels, so only the rounding
+    floor can be met), and the large-lambda stall design at its optimum."""
+    rng = np.random.default_rng(7)
+    for p in (3, 8, 20):
+        for big in (1.0, 1e6, 1e12):
+            Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            H = Q @ np.diag(rng.uniform(1.0, big, p)) @ Q.T
+            r = rng.uniform(0.0, 50.0, p)
+            r[rng.random(p) < 0.3] = 0.0
+            yield H, r, rng.standard_normal(p)
+            a = np.zeros(p)
+            a[:2] = 1.0, -1.0
+            r = np.full(p, 40.0)
+            yield big * np.outer(a, a) + 1e-3 * np.eye(p), r, 1e-6 * rng.standard_normal(p)
+    cache = DesignCache([SplineBasis(make_knots(STALL_PARENT))], [STALL_PARENT],
+                        SplineBasis(make_knots(STALL_OWN)), STALL_OWN)
+    logl = np.array([1.2, 15.0])
+    r = fit_inner(cache, logl)[0]
+    s = cache.W @ r
+    yield cache.profile_operators(logl)[0], r, cache.W.T @ (1.0 / s)
+
+
+def test_stationarity_bound_gives_the_exact_decision():
+    """With the rounding floor formed only where the gradient is within its
+    per-lambda bound, every stop decision equals the one that always forms
+    it: over gradients scaled across the relative test and the floor, and
+    just inside and outside each, including points where only the floor
+    converges."""
+    floor_only = 0
+    for H, r, barrier in stationarity_cases():
+        Hr = H @ r
+        bound = objective._rounding_bound(H)
+        direction = np.random.default_rng(r.size).standard_normal(r.size)
+        direction /= np.linalg.norm(direction)
+        _, _, floor = exact_stationarity(H, r, Hr - barrier, Hr)
+        for size in (floor, objective.INNER_TOL * max(1.0, np.abs(Hr).max())):
+            for factor in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 1e3):
+                grad = factor * size * direction
+                want = exact_stationarity(H, r, grad, Hr)
+                got = objective._stationarity(H, r, grad, Hr, bound)
+                assert got[0] == want[0] and got[1] == want[1]
+                rel = want[1] <= objective.INNER_TOL * max(
+                    1.0, np.abs(Hr).max(), np.abs(Hr - grad).max())
+                floor_only += want[0] and not rel
+        assert np.abs(H).sum(axis=1).max() * np.abs(r).max() <= bound * np.abs(r).max()
+    assert floor_only >= 10
+
+
+def test_one_parent_block_takes_the_profile_factor(monkeypatch):
+    """With one parent the parent block of the edf is G_nn + S_non, which
+    the profile operators factored: the block state holds that very factor
+    and factors only the monotone block; with two parents each parent block
+    is factored."""
+    for make, logl, parent_factors in ((gaussian_cache, [1.0, 2.0], 0),
+                                       (two_parent_cache, [0.5, -1.0, 1.5], 2)):
+        cache, logl = make(), np.array(logl)
+        r_hat = fit_inner(cache, logl)[0]
+        names = factored(monkeypatch)
+        blocks, _, _, _, factors, traces = objective._block_factors(cache, r_hat, logl)
+        assert names == ["penalized Hessian block"] * (parent_factors + 1)
+        chol = cache.profile_operators(logl)[3]
+        assert (factors[0][0] is chol) == (parent_factors == 0)
+        _, _, Hu, Pen = blocks[0]
+        fresh = objective._cho_factor(Hu + Pen, "fresh")
+        assert np.array_equal(factors[0][0], fresh)
+        assert traces[0] == np.trace(objective._cho_solve(fresh, Hu))
+        monkeypatch.undo()
+
+
+def test_design_penalties_are_built_once_per_size():
+    """Designs whose blocks share a size share their read-only penalty
+    matrices; make_penalty still returns a new matrix each call."""
+    a, b = gaussian_cache(seed=1), gaussian_cache(seed=2)
+    assert a.p == b.p == a.block_sizes[0]
+    assert a.mon_gram is b.mon_gram is a.non_grams[0] is b.non_grams[0]
+    assert a.mon_gram_raw is b.mon_gram_raw and a.ridge_raw is b.ridge_raw
+    assert not a.mon_gram.flags.writeable
+    from pstransport.splines import make_penalty
+    fresh = make_penalty(a.p).gram
+    assert fresh is not make_penalty(a.p).gram and fresh.flags.writeable
+    assert np.array_equal(fresh, a.mon_gram)
 
 
 def test_edf_limits(cache):

@@ -282,6 +282,53 @@ def test_piecewise_polynomial_matches_basis(case):
     assert np.array_equal(PiecewisePolynomial(basis, coef)(x), value)
 
 
+def direct_pp_tables(basis, coef):
+    """Power-form value and slope tables of ``basis.eval(x) @ coef``, every
+    basis table built afresh for this expansion."""
+    d, real = basis.degree, basis.knots.real
+    h = real[1:] - real[:-1]
+    increments = np.concatenate([coef[:1], np.diff(coef)])
+    ends = (basis._val_first @ coef, basis._val_last @ coef)
+    value = np.zeros((d + 1, real.size + 1))
+    value[0] = np.concatenate([[ends[0]], basis._interior(real[:-1]) @ coef, [ends[1]]])
+    slope = np.zeros((max(d, 1), real.size + 1))
+    if d:
+        at = real[:-1] + (np.arange(d)[:, None] + 0.5) / d * h
+        u = ((at - real[:-1]) * (1.0 / h)).T
+        slopes = (basis._increments(at.ravel())[:, :-1] @ increments).reshape(d, h.size).T
+        slope[:, 1:-1] = np.linalg.solve(u[:, :, None] ** np.arange(d), slopes[:, :, None])[
+            :, :, 0].T
+        slope[0, [0, -1]] = basis._end_increments @ increments
+        value[1:] = slope / np.arange(1, d + 1)[:, None] / np.concatenate([[1.0], 1.0 / h, [1.0]])
+    return value, slope
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("uniform", [True, False])
+def test_piecewise_polynomial_on_kept_tables_is_bit_identical(degree, uniform):
+    """An expansion built on a basis whose tables another expansion already
+    keeps equals, bit for bit, one built on a fresh basis of the same knots
+    and one converted from freshly built basis tables, for several
+    coefficient vectors; they share the basis's lookup and span tables."""
+    rng = np.random.default_rng(degree)
+    real = np.linspace(-2.0, 3.0, 7) if uniform else np.cumsum(rng.uniform(0.01, 1.0, 9))
+    kept = SplineBasis(KnotVector(real, degree))
+    PiecewisePolynomial(kept, rng.standard_normal(kept.num_basis))
+    x = np.concatenate([real, rng.uniform(real[0] - 1.0, real[-1] + 1.0, 50)])
+    size = kept.num_basis
+    for coef in (rng.standard_normal(size), np.cumsum(rng.uniform(0.0, 1e3, size)),
+                 np.full(size, 1e-7), np.zeros(size)):
+        warm = PiecewisePolynomial(kept, coef)
+        cold = PiecewisePolynomial(SplineBasis(KnotVector(real, degree)), coef)
+        value, slope = direct_pp_tables(kept, coef)
+        for pp in (warm, cold):
+            assert np.array_equal(pp._value, value) and np.array_equal(pp._slope, slope)
+            assert pp.end_values == cold.end_values and pp.end_slopes == cold.end_slopes
+        for a, b in zip(warm(x, slope=True), cold(x, slope=True)):
+            assert np.array_equal(a, b)
+        assert warm._piece is PiecewisePolynomial(kept, coef)._piece
+
+
 @st.composite
 def sorted_breaks(draw):
     """1 to 40 non-decreasing finite breaks: evenly spaced, at random gaps

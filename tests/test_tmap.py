@@ -16,7 +16,7 @@ from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.lorenz63 import Lorenz63Params
 from pstransport.objective import OUTER_TOL_GRAD, BarrierViolationError, \
     ModelTooComplexError, outer_objective
-from pstransport.splines import DegenerateDimensionError, KnotVector, SplineBasis
+from pstransport.splines import DegenerateDimensionError, KnotVector, SortedLookup, SplineBasis
 from pstransport.tmap import (
     Ensemble,
     MapFitConfig,
@@ -223,7 +223,7 @@ def test_fixed_fit_scores_its_start():
         assert (report.outer_iters, report.stop_reason) == (0, "fixed")
         assert np.isnan(report.grad_norm)
         assert np.array_equal(report.log_lambdas, start)
-        cache, _ = tmap._component_design(Z, j, [[], [0]][j], config)
+        cache, _ = tmap._component_design(Z, j, [[], [0]][j], config, {})
         assert report.aicc == outer_objective(cache, start)[0]
 
 
@@ -462,6 +462,104 @@ def test_constant_parent_is_dropped():
     ens = Ensemble(data)
     tri, _ = fit(ens, [[], [0]], MapFitConfig(block_split=1, fit_upper=False))
     assert tri.components[1].parents == []
+
+
+def lorenz_joint(n=60, seed=0):
+    """(y, x0, x1, x2): a spun-up Lorenz-63 ensemble with perturbed
+    predictions of x0, the data of one filter map fit."""
+    from pstransport import lorenz63
+    params = Lorenz63Params()
+    rng = np.random.default_rng(seed)
+    members = rng.standard_normal((n, 3))
+    for _ in range(params.spinup):
+        members = lorenz63.rk4_step(members, params)
+    y = members[:, 0] + rng.normal(0.0, params.obs_sigma, size=n)
+    return Ensemble(np.column_stack([y, members]))
+
+
+def test_sparse_map_fit_builds_one_basis_per_variable(monkeypatch):
+    """The sparse filter map reads four variables in seven places; its fit
+    places knots and builds a basis once per variable, and every component
+    and design that reads a variable shares that basis object."""
+    calls = {"make_knots": 0, "SplineBasis": 0}
+    for name in calls:
+        build = getattr(tmap, name)
+
+        def counted(*args, _build=build, _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(tmap, name, counted)
+    tri, reports = fit(lorenz_joint(), [[], [0], [1], [1, 2]],
+                       MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
+    assert calls == {"make_knots": 4, "SplineBasis": 4}
+    _, c1, c2, c3 = tri.components
+    assert c2.non_bases[0] is c1.mon_basis and c3.non_bases[0] is c1.mon_basis
+    assert c3.non_bases[1] is c2.mon_basis
+    assert len({id(c.mon_basis) for c in (c1, c2, c3)} | {id(c1.non_bases[0])}) == 4
+    for comp, report in zip(tri.components[1:], reports[1:]):
+        assert report.design.mon_basis is comp.mon_basis
+        assert all(a is b for a, b in zip(report.design.non_bases, comp.non_bases))
+
+
+def test_kept_basis_tables_are_read_only():
+    """Every table a fit keeps on a basis, the pp tables, the Newton start
+    points and the Greville start, is read-only, the span lookup included;
+    so are the penalties a design keeps per size and per point."""
+    tri, reports = fit(lorenz_joint(), [[], [0], [1], [1, 2]],
+                       MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
+    for comp, report in zip(tri.components[1:], reports[1:]):
+        assert sorted(comp.mon_basis._tables) == ["greville_start", "pp", "start_points"]
+        for basis in [comp.mon_basis, *comp.non_bases]:
+            assert "pp" in basis._tables
+            for table in basis._tables.values():
+                for item in table if isinstance(table, tuple) else (table,):
+                    arrays = [item._below, item._breaks] if isinstance(item, SortedLookup) \
+                        else [] if item is None else [item]
+                    for arr in arrays:
+                        assert not arr.flags.writeable
+        cache = report.design
+        kept = [cache.mon_gram, cache.mon_gram_raw, cache.ridge_raw, *cache.non_grams,
+                *cache._point(report.log_lambdas)[1]]
+        assert all(not arr.flags.writeable for arr in kept)
+        assert np.array_equal(cache.default_raw(), cache._start_raw)
+        assert cache.default_raw().flags.writeable
+
+
+def test_constant_columns_keep_their_warning_and_error(caplog):
+    """A constant parent is dropped with one warning per component that lists
+    it, though its knots are placed once; a constant own variable fails its
+    component, also when later components list it as a parent."""
+    data = gaussian_ensemble(60, dim=3).data
+    data[:, 0] = 1.0
+    with caplog.at_level("WARNING", logger="pstransport.tmap"):
+        tri, _ = fit(Ensemble(data), [[], [0], [0, 1]],
+                     MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "dropping constant parent 0 of component 1", "dropping constant parent 0 of component 2"]
+    assert tri.components[1].parents == [] and tri.components[2].parents == [1]
+    data = gaussian_ensemble(60, dim=3).data
+    data[:, 1] = 1.0
+    with pytest.raises(DegenerateDimensionError,
+                       match=r"^fit of component 1 \(x1\) failed: all samples are equal$"):
+        fit(Ensemble(data), [[], [0], [0, 1]])
+
+
+def test_warm_start_drops_the_entry_of_a_dropped_parent():
+    """A warm start sized for the declared parents loses the entry of a
+    constant parent together with the parent; the others keep theirs."""
+    data = np.random.default_rng(0).standard_normal((60, 3))
+    data[:, 0] = 1.0
+    config = MapFitConfig(block_split=1, fit_upper=False, max_outer=2,
+                          init_log_lambdas=[None, [1.0, 1.0], [1.0, 1.0, 1.0]])
+    tri, reports = fit(Ensemble(data), [[], [0], [0, 1]], config)
+    assert [len(r.log_lambdas) for r in reports[1:]] == [1, 2]
+    config = MapFitConfig(block_split=1, fit_upper=False, adapt=False,
+                          init_log_lambdas=[None, [3.0, 1.5], [4.0, -2.0, 0.5]])
+    tri, reports = fit(Ensemble(data), [[], [0], [0, 1]], config)
+    assert np.array_equal(reports[1].log_lambdas, [1.5])
+    assert np.array_equal(reports[2].log_lambdas, [-2.0, 0.5])
+    assert tri.components[2].parents == [1]
 
 
 def test_fit_failure_names_component():
