@@ -23,7 +23,8 @@ def main():
     params = Lorenz63Params(steps=args.steps)
     for method in ("linear-baseline", "transport"):
         res = run_filter(params, args.n, args.seed, method=method)
-        status = "DIVERGED" if res.diverged else "ok"
+        status = f"DIVERGED after {res.steps_completed} steps: {res.cause}" \
+            if res.diverged else "ok"
         print(f"{method:16s} mean RMSE {res.mean_rmse:8.4f}  [{status}]")
         if method == "transport":
             frac = res.edf_fractions[np.isfinite(res.edf_fractions[:, 0])]

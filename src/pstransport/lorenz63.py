@@ -62,7 +62,10 @@ class Lorenz63Params:
 @dataclass
 class FilterRunResult:
     """Per-run diagnostics of one twin experiment. ``mean_rmse`` is infinite
-    for a diverged run and NaN for a run of zero steps."""
+    for a diverged run and NaN for a run of zero steps. ``cause`` says why a
+    run diverged, "" for a run that did not: the text of the error that
+    stopped it, which names the failed component, or its non-finite or
+    above-``DIVERGENCE_RMSE`` ensemble RMSE."""
 
     rmse_series: np.ndarray
     mean_rmse: float
@@ -70,6 +73,7 @@ class FilterRunResult:
     diverged: bool
     seed: int
     steps_completed: int = 0
+    cause: str = ""
 
 
 def lorenz_rhs(state):
@@ -164,7 +168,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
 
     rmse = np.full(params.steps, np.nan)
     edf_frac = np.full((params.steps, 3), np.nan)
-    diverged = False
+    diverged, cause = False, ""
     warm = [None, None, None]
     completed = 0
     for step in range(params.steps):
@@ -188,7 +192,7 @@ def run_filter(params, n_ensemble, seed, method="transport"):
         except (*FIT_FAILURES, RuntimeError, FloatingPointError,
                 DegenerateDimensionError) as exc:
             logger.warning("seed %s step %d: %s; flagging divergence", seed, step, exc)
-            diverged = True
+            diverged, cause = True, str(exc)
             break
         completed += 1
         if fractions:
@@ -197,9 +201,11 @@ def run_filter(params, n_ensemble, seed, method="transport"):
         rmse[step] = r
         if not np.isfinite(r) or r > DIVERGENCE_RMSE:
             diverged = True
+            cause = f"ensemble RMSE {r} is not finite" if not np.isfinite(r) \
+                else f"ensemble RMSE {r} above DIVERGENCE_RMSE = {DIVERGENCE_RMSE}"
             break
     mean_rmse = np.inf if diverged else float(rmse.mean()) if rmse.size else np.nan
     return FilterRunResult(
         rmse_series=rmse, mean_rmse=mean_rmse, edf_fractions=edf_frac,
-        diverged=diverged, seed=seed, steps_completed=completed,
+        diverged=diverged, seed=seed, steps_completed=completed, cause=cause,
     )

@@ -9,7 +9,18 @@ increments, with the log term acting as a barrier that keeps the
 derivative ``W r`` positive at every sample.
 
 ``DesignCache`` holds the design and its lambda-independent Gram
-matrices, the monotone block in raw coordinates. What is fixed at a
+matrices, the monotone block in raw coordinates. Each row of the slope
+design ``W`` is nonzero in at most ``degree`` adjacent columns, since a
+B-spline of degree d - 1 lives on d knot spans (de Boor 1972), so the
+barrier Gram ``(W/s)'(W/s)`` that the log term adds to every Newton
+matrix is banded, the structure P-spline fitting rests on (Eilers & Marx
+1996). Beyond its tables ``P_non``, ``P_mon`` and ``W``, a design
+therefore keeps per sample only the d (d + 1) / 2 products of its in-band
+column pairs (6 for the cubic fits) and its place in a grouping of the
+samples by window (``_SlopeBand``). The inner Newton matrices, the
+monotone edf block and the outer gradient's per-sample quadratic are
+formed from them in O(n d^2) and scattered into p x p by one kept index,
+not as dense O(n p^2) products. What is fixed at a
 coarser scope is built once there: the penalty Grams, the raw-coordinate
 map and the ridges once per block size (``_penalty_terms``), and the
 Greville start once per monotone basis. ``profile_operators`` factors the
@@ -131,6 +142,77 @@ def _greville_start(basis):
     return start
 
 
+@lru_cache(maxsize=8)
+def _band_layout(p, degree):
+    """Read-only index arrays fixed by the width ``p`` and the degree d of a
+    slope design, for a window starting at column 0: its in-band column
+    pairs ``a <= b`` (two 1-d arrays); as columns over the pairs, each
+    pair's row in a pair-major table, its slot in band storage (entry
+    (i, i + o) of the upper triangle at ``i * d + o``), its flat position
+    in p x p and its weight in a quadratic form read from ``M + M'`` (0.5
+    on the diagonal, else 1); the window's column offsets, as a column; and
+    the index from p x p to band storage, ``p * d`` (a zero slot) outside
+    the band."""
+    a, b = np.array([(a, b) for a in range(degree) for b in range(a, degree)],
+                    dtype=np.intp).reshape(-1, 2).T
+    i = np.arange(p)[:, None]
+    offset = np.abs(i - i.T)
+    layout = (a, b, np.arange(a.size)[:, None], (a * degree + b - a)[:, None],
+              (a * p + b)[:, None], np.where(a == b, 0.5, 1.0)[:, None],
+              np.arange(degree)[:, None],
+              np.where(offset < degree, np.minimum(i, i.T) * degree + offset, p * degree))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+class _SlopeBand:
+    """The slope design ``W`` (n x p) in band form, for weighted sums over
+    its rows ``w_i`` of ``w_i w_i'``: the barrier Gram and the edf-gradient
+    quadratic.
+
+    Each row of ``W`` is nonzero in at most ``degree`` adjacent columns, its
+    window; a window starting at the row's first nonzero column, or at
+    ``p - degree`` if that is smaller, covers them. Per sample this keeps
+    the ``degree (degree + 1) / 2`` products of its in-band column pairs,
+    pair-major with the samples grouped by window start, and the sample
+    order of that grouping. Per window present it keeps its sample count
+    and where its sums go: their segments in the flat product table, their
+    band storage slots and their flat positions in p x p (``_band_layout``).
+    """
+
+    def __init__(self, W, degree):
+        n, p = W.shape
+        a, b, rows, slots, pairs, self.halves, window, self.index = _band_layout(p, degree)
+        start = np.minimum(np.argmax(W != 0, axis=1), p - degree)
+        # the starts are small integers: a narrow type sorts by radix
+        self.order = np.argsort(start.astype(np.min_scalar_type(p)), kind="stable")
+        cols = W.take(self.order * p + start.take(self.order) + window)
+        self.products = cols[a] * cols[b]
+        counts = np.bincount(start)
+        windows = np.flatnonzero(counts)
+        self.counts = counts[windows]
+        self.segments = (rows * n + (np.cumsum(self.counts) - self.counts)).ravel()
+        self.slots = (windows * degree + slots).ravel()
+        self.size = p * degree + 1
+        self.pairs = windows * (p + 1) + pairs
+
+    def gram(self, inv_s):
+        """``(W/s)'(W/s)`` (p x p) where the slopes are ``1 / inv_s``."""
+        v = inv_s.take(self.order)
+        v *= v
+        sums = np.add.reduceat((self.products * v).ravel(), self.segments)
+        return np.bincount(self.slots, sums, self.size).take(self.index)
+
+    def quadratic(self, M):
+        """``w_i' M w_i`` for every row ``w_i`` of ``W``, for a p x p ``M``."""
+        coef = (M + M.T).take(self.pairs) * self.halves
+        q = np.empty(self.order.size)
+        q[self.order] = np.einsum("kn,kn->n", self.products,
+                                  np.repeat(coef, self.counts, axis=1))
+        return q
+
+
 class DesignCache:
     """Precomputed design matrices for one component fit.
 
@@ -146,10 +228,16 @@ class DesignCache:
         Training samples of the component's own variable.
     penalty_order : int
         Difference order of the roughness penalty.
+    tables : dict, optional
+        Basis tables shared between designs: maps a basis to its ``eval``
+        table on the samples given for it. A basis found there is not
+        evaluated again; one evaluated here is added, read-only. Designs
+        share it only where each basis always comes with the same samples,
+        as in one map fit, where a basis belongs to one variable.
     """
 
     def __init__(self, non_bases, parent_samples, mon_basis, own_samples,
-                 penalty_order=2):
+                 penalty_order=2, tables=None):
         own_samples = np.asarray(own_samples, dtype=float)
         n = own_samples.size
         self.n = n
@@ -158,6 +246,13 @@ class DesignCache:
         self.block_sizes = [b.num_basis for b in non_bases]
         self.m = int(sum(self.block_sizes))
         self.p = mon_basis.num_basis
+        tables = {} if tables is None else tables
+
+        def table(basis, xs):
+            if basis not in tables:
+                tables[basis] = basis.eval(xs)
+                tables[basis].flags.writeable = False
+            return tables[basis]
 
         cols = []
         self.non_slices = []
@@ -166,14 +261,16 @@ class DesignCache:
             xs = np.asarray(xs, dtype=float)
             if xs.size != n:
                 raise ValueError("parent sample length mismatch")
-            cols.append(basis.eval(xs))
+            cols.append(table(basis, xs))
             self.non_slices.append(slice(start, start + basis.num_basis))
             start += basis.num_basis
-        self.P_non = np.hstack(cols) if cols else np.zeros((n, 0))
-        self.P_mon = mon_basis.eval(own_samples)
+        # a single parent's block is its table itself, not a copy
+        self.P_non = cols[0] if len(cols) == 1 else np.hstack([np.zeros((n, 0)), *cols])
+        self.P_mon = table(mon_basis, own_samples)
         # raw coordinates r (beta_mon = T r): slopes W r are sums of nonnegative
         # terms, and the monotone Grams and penalty below act on r
         self.W = np.ascontiguousarray(mon_basis.eval_deriv_increments(own_samples))
+        self.band = _SlopeBand(self.W, mon_basis.degree)
         T, self.mon_gram, self.mon_gram_raw, self.ridge_raw, self._ridge_mon = \
             _penalty_terms(self.p, penalty_order)
         P_raw = self.P_mon @ T
@@ -298,25 +395,27 @@ def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
 
 
 def _newton_state(cache, H, r):
-    """Slopes ``s``, ``H r`` and the gradient of the reduced objective at r."""
+    """Slopes ``s``, their reciprocals, ``H r`` and the gradient of the
+    reduced objective at r."""
     s = _slopes(cache, r)
+    inv_s = 1.0 / s
     Hr = H @ r
-    return s, Hr, Hr - cache.W.T @ (1.0 / s)
+    return s, inv_s, Hr, Hr - cache.W.T @ inv_s
 
 
-def _newton_hessian(cache, H, s):
-    """Hessian of the reduced objective where the slopes are ``s``: H plus the
-    barrier Gram ``(W/s)'(W/s)``."""
-    Ws = cache.W / s[:, None]
-    return H + Ws.T @ Ws
+def _newton_hessian(cache, H, inv_s):
+    """Hessian of the reduced objective where the slopes are ``1 / inv_s``:
+    H plus the barrier Gram ``(W/s)'(W/s)``."""
+    return H + cache.band.gram(inv_s)
 
 
 def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     r = np.asarray(beta_mon_raw, dtype=float)
     H = cache.profile_operators(log_lambdas)[0]
-    s, Hr, grad = _newton_state(cache, H, r)
-    return 0.5 * float(r @ Hr) - float(np.sum(np.log(s))), grad, _newton_hessian(cache, H, s)
+    s, inv_s, Hr, grad = _newton_state(cache, H, r)
+    value = 0.5 * float(r @ Hr) - float(np.sum(np.log(s)))
+    return value, grad, _newton_hessian(cache, H, inv_s)
 
 
 # -- inner solver -----------------------------------------------------------
@@ -366,11 +465,11 @@ def fit_inner(cache, log_lambdas, r0=None):
     if np.any(cache.W @ r <= 0):
         r = cache.default_raw()
     for it in range(1, INNER_MAX_ITER + 2):
-        s, Hr, grad = _newton_state(cache, H, r)
+        s, inv_s, Hr, grad = _newton_state(cache, H, r)
         converged, pg_norm, pinned = _stationarity(H, r, grad, Hr, bound)
         if converged or it > INNER_MAX_ITER:
             break
-        hess = _newton_hessian(cache, H, s)
+        hess = _newton_hessian(cache, H, inv_s)
         if pinned.any():
             free = ~pinned
             step = np.zeros_like(r)
@@ -400,15 +499,14 @@ def fit_inner(cache, log_lambdas, r0=None):
 def _block_factors(cache, r_hat, log_lambdas):
     """Per-block factors of the penalized Hessian at (log_lambdas, r_hat).
 
-    Returns ``(blocks, free, Wf, s, factors, traces)``: the smoothing blocks,
+    Returns ``(blocks, free, factors, traces)``: the smoothing blocks,
     parents first and monotone last, as (slice into (beta_non, free raw
     coords), unit-lambda penalty, unpenalized diagonal block Hu_b, penalty
-    block Pen_b), with increments pinned at zero left out; the free mask,
-    the free columns of ``W`` and the monotone derivative at every sample;
-    per block the Cholesky factor of Hu_b + Pen_b with Hp_b^-1 Hu_b; and the
-    per-block edf tr(Hp_b^-1 Hu_b). A parent block is ``G_nn`` plus its
-    penalty, the monotone block ``G_mm`` plus the barrier Gram plus its
-    penalty, each read straight from the design Grams. Each block is taken
+    block Pen_b), with increments pinned at zero left out; the free mask;
+    per block the Cholesky factor of Hu_b + Pen_b with Hp_b^-1 Hu_b; and
+    the per-block edf tr(Hp_b^-1 Hu_b). A parent block is ``G_nn`` plus its
+    penalty, the monotone block ``G_mm`` plus the barrier Gram (formed from
+    the design's band products) plus its penalty. Each block is taken
     with the other blocks' coefficients held fixed; this keeps the lambda
     -> infinity limit at the penalty null-space dimension per block even
     though the additive level is shared. The penalties are the ones the
@@ -425,26 +523,25 @@ def _block_factors(cache, r_hat, log_lambdas):
     (_, _, _, chol_non), (S_non, S_mon) = cache._point(log_lambdas)
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
-    s = _slopes(cache, r_hat)
-    Wf, G_mm, K_mon = cache.W, cache.G_mm, cache.mon_gram_raw
+    Hu_mon = cache.G_mm + cache.band.gram(1.0 / _slopes(cache, r_hat))
+    K_mon = cache.mon_gram_raw
     if not free.all():
         ff = np.ix_(free, free)
-        Wf, G_mm, S_mon, K_mon = Wf[:, free], G_mm[ff], S_mon[ff], K_mon[ff]
-    Ws = Wf / s[:, None]
+        Hu_mon, S_mon, K_mon = Hu_mon[ff], S_mon[ff], K_mon[ff]
     blocks = [(sl, gram, cache.G_nn[sl, sl], S_non[sl, sl])
               for sl, gram in zip(cache.non_slices, cache.non_grams)]
-    blocks.append((slice(cache.m, cache.m + Wf.shape[1]), K_mon, G_mm + Ws.T @ Ws, S_mon))
+    blocks.append((slice(cache.m, cache.m + K_mon.shape[0]), K_mon, Hu_mon, S_mon))
     factors = []
     for i, (_, _, Hu_b, Pen_b) in enumerate(blocks):
         # a single parent block is G_nn + S_non, the matrix the profile factored
         chol = chol_non if i == 0 and len(blocks) == 2 else \
             _cho_factor(Hu_b + Pen_b, "penalized Hessian block")
         factors.append((chol, _cho_solve(chol, Hu_b)))
-    for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
+    for arr in (free, *(a for b in blocks for a in b[1:]),
                 *(a for f in factors for a in f)):
         arr.flags.writeable = False
     traces = tuple(float(np.trace(W)) for _, W in factors)
-    state = (tuple(blocks), free, Wf, s, tuple(factors), traces)
+    state = (tuple(blocks), free, tuple(factors), traces)
     cache._blocks_key, cache._blocks = key, state
     return state
 
@@ -508,7 +605,7 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     increments at or below ``PIN_TOL``, which the solve leaves out): both
     come from the one implicit-function solve."""
     _, D, lambdas, chol_n = cache.profile_operators(log_lambdas)
-    blocks, free, Wf, s, factors, traces = _block_factors(cache, r_hat, log_lambdas)
+    blocks, free, factors, traces = _block_factors(cache, r_hat, log_lambdas)
     penprime = _aicc_penalty_deriv(sum(traces), cache.n)
     beta = np.concatenate([-D @ r_hat, r_hat[free]])
 
@@ -532,8 +629,12 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]
     V_m = _cho_solve(chol_m, np.eye(W_m.shape[0]))
-    q = np.einsum("ij,ij->i", Wf @ (V_m - W_m @ V_m), Wf)
-    grad_edf = -2.0 * Wf.T @ (q / s ** 3)
+    M = V_m - W_m @ V_m
+    if not free.all():   # the pinned columns of W drop out
+        M, M_free = np.zeros((cache.p, cache.p)), M
+        M[np.ix_(free, free)] = M_free
+    q = cache.band.quadratic(M)
+    grad_edf = -2.0 * (cache.W.T @ (q / (cache.W @ r_hat) ** 3))[free]
 
     # explicit part: d tr(Hp_b^-1 Hu_b) / d log lambda_b at fixed beta
     dedf = np.array([-lam * float(np.sum(_cho_solve(chol, gram) * W.T))

@@ -397,10 +397,11 @@ def fit(ensemble, parent_sets, config=None):
     Z = tri._std(ensemble.data)
     first = 0 if config.fit_upper else config.block_split
     reports = [None] * ensemble.dim
-    bases = {}
+    bases, tables = {}, {}
     for j in range(first, ensemble.dim):
         with _component_context(f"fit of component {j} ({ensemble.names[j]}) failed"):
-            cache, kept_parents = _component_design(Z, j, parent_sets[j], config, bases)
+            cache, kept_parents = _component_design(Z, j, parent_sets[j], config, bases,
+                                                    tables)
             logl0 = np.full(cache.num_blocks, config.init_log_lambda)
             if warm and warm[j] is not None:
                 # a dropped parent drops its entry of the warm start too
@@ -415,12 +416,13 @@ def fit(ensemble, parent_sets, config=None):
     return tri, reports
 
 
-def _component_design(Z, j, parents, config, bases):
+def _component_design(Z, j, parents, config, bases, tables):
     """DesignCache and kept parents of component j on standardized Z.
 
     ``bases`` holds, per variable of Z read so far in this map fit, its
-    basis or the DegenerateDimensionError of its constant column, so the
-    components that read a variable share one basis. A constant own
+    basis or the DegenerateDimensionError of its constant column, and
+    ``tables`` each such basis's table on that column, so the components
+    that read a variable share one basis and one table. A constant own
     variable raises that error; constant parents are dropped with a warning.
     """
     def basis(v):
@@ -441,7 +443,7 @@ def _component_design(Z, j, parents, config, bases):
         else:
             kept_parents.append(p)
     cache = DesignCache([bases[p] for p in kept_parents], [Z[:, p] for p in kept_parents],
-                        mon_basis, Z[:, j])
+                        mon_basis, Z[:, j], tables=tables)
     return cache, kept_parents
 
 

@@ -175,23 +175,32 @@ def test_run_filter_deterministic():
 
 
 def test_steps_completed_counts_finished_cycles(monkeypatch):
-    """A fit failure in cycle 2 leaves two finished cycles; no steps, none."""
+    """A fit failure in cycle 2 leaves two finished cycles and is the cause,
+    naming its component; an RMSE above DIVERGENCE_RMSE in cycle 1 leaves
+    one and is the cause; no steps, none and no cause."""
     calls = []
-    update = lorenz63.transport_update
+    adapt = tmap.adapt_lambdas
 
     def failing_in_cycle_two(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 6:   # three updates per cycle
+        if len(calls) > 18:   # three updates of three component fits per cycle
             raise np.linalg.LinAlgError("forced failure")
-        return update(*args, **kwargs)
+        return adapt(*args, **kwargs)
 
-    monkeypatch.setattr(lorenz63, "transport_update", failing_in_cycle_two)
+    monkeypatch.setattr(tmap, "adapt_lambdas", failing_in_cycle_two)
     res = run_filter(Lorenz63Params(steps=4), 50, seed=0)
     assert res.diverged
     assert res.steps_completed == 2
+    assert res.cause == "fit of component 1 (x1) failed: forced failure"
     assert np.isfinite(res.rmse_series).sum() == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(lorenz63, "ensemble_rmse", lambda members, truth: 150.0)
+    res = run_filter(Lorenz63Params(steps=4), 50, seed=0)
+    assert res.diverged and res.steps_completed == 1
+    assert res.cause == "ensemble RMSE 150.0 above DIVERGENCE_RMSE = 100.0"
+    monkeypatch.undo()
     empty = run_filter(Lorenz63Params(steps=0), 50, seed=0)
-    assert empty.steps_completed == 0 and not empty.diverged
+    assert empty.steps_completed == 0 and not empty.diverged and empty.cause == ""
     assert np.isnan(empty.mean_rmse) and empty.rmse_series.size == 0
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
@@ -330,7 +331,7 @@ def test_one_parent_block_takes_the_profile_factor(monkeypatch):
         cache, logl = make(), np.array(logl)
         r_hat = fit_inner(cache, logl)[0]
         names = factored(monkeypatch)
-        blocks, _, _, _, factors, traces = objective._block_factors(cache, r_hat, logl)
+        blocks, _, factors, traces = objective._block_factors(cache, r_hat, logl)
         assert names == ["penalized Hessian block"] * (parent_factors + 1)
         chol = cache.profile_operators(logl)[3]
         assert (factors[0][0] is chol) == (parent_factors == 0)
@@ -451,6 +452,70 @@ def test_parentless_component_runs_every_stage():
     assert grad.shape == (1,) and np.isfinite(grad).all()
 
 
+# the band and dense forms sum the same nonnegative products in another order
+BAND_TOL = 64 * np.finfo(float).eps
+
+
+@given(degree=st.integers(1, 3), gaps=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=40),
+       n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_forms_match_the_dense_products(degree, gaps, n, seed):
+    """The band Gram is (W/s)'(W/s), and on the free coordinates with
+    increments pinned that of the free columns; the band quadratic is
+    w_i' M w_i for any M. Each agrees within BAND_TOL of the largest entry
+    (of |W|'|M||W| for the quadratic), on random knots, with samples at the
+    knots and in both affine tails and with fewer samples than columns."""
+    knots = np.concatenate([[0.0], np.cumsum(gaps)])
+    basis = SplineBasis(KnotVector(knots, degree))
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[-1.0, knots[-1] + 1.0], rng.choice(knots, 2),
+                        rng.uniform(-0.2 * knots[-1], 1.2 * knots[-1], n)])
+    W = basis.eval_deriv_increments(x)
+    p = W.shape[1]
+    band = objective._SlopeBand(W, degree)
+    s = rng.uniform(0.1, 10.0, x.size)
+    Ws = W / s[:, None]
+    gram = band.gram(1.0 / s)
+    dense = Ws.T @ Ws
+    assert np.abs(gram - dense).max() <= BAND_TOL * np.abs(dense).max()
+    free = rng.random(p) < 0.6
+    free[0] = True
+    dense_free = Ws[:, free].T @ Ws[:, free]
+    assert np.abs(gram[np.ix_(free, free)] - dense_free).max() \
+        <= BAND_TOL * np.abs(dense_free).max()
+    M = rng.standard_normal((p, p))
+    scale = np.einsum("ij,ij->i", W @ np.abs(M), W).max()
+    assert np.abs(band.quadratic(M) - np.einsum("ij,ij->i", W @ M, W)).max() <= BAND_TOL * scale
+
+
+def kept_arrays(obj):
+    """The arrays held in ``obj``'s attributes, through tuples, lists and the band."""
+    items, arrays = list(vars(obj).items()), {}
+    while items:
+        name, value = items.pop()
+        if isinstance(value, np.ndarray):
+            arrays.setdefault(id(value), (name, value))
+        elif isinstance(value, (tuple, list)):
+            items += [(name, v) for v in value]
+        elif isinstance(value, objective._SlopeBand):
+            items += list(vars(value).items())
+    return list(arrays.values())
+
+
+@pytest.mark.parametrize("make_cache", [gaussian_cache, two_parent_cache, no_parent_cache])
+def test_design_keeps_the_band_products_per_sample(make_cache):
+    """Beyond P_non, P_mon and W, a design keeps at most d(d+1)/2 + 1 values
+    per sample, the band products and the window order, also after a fit
+    has filled its kept profile and block states."""
+    cache = make_cache()
+    logl = np.ones(cache.num_blocks)
+    _, _, r_hat = outer_objective(cache, logl)
+    outer_gradient(cache, logl, r_hat=r_hat)
+    d = cache.mon_basis.degree
+    per_sample = sum(arr.size for name, arr in kept_arrays(cache)
+                     if name not in ("P_non", "P_mon", "W") and cache.n in arr.shape)
+    assert per_sample <= (d * (d + 1) // 2 + 1) * cache.n
+
+
 @pytest.mark.parametrize("make_cache", [two_parent_cache, no_parent_cache])
 def test_profile_operators_matches_profiled_design(make_cache):
     """H is A'A + Q of the explicitly profiled design A = P_mon T - P_non D and
@@ -533,8 +598,8 @@ def test_hessian_state_kept_per_point(monkeypatch):
     assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
     assert states and all(st is kept for st in states)
     assert names == ["inner Newton matrix"]
-    blocks, free, Wf, s, factors, _ = kept
-    for arr in (free, Wf, s, *(a for b in blocks for a in b[1:]),
+    blocks, free, factors, _ = kept
+    for arr in (free, *(a for b in blocks for a in b[1:]),
                 *(a for f in factors for a in f)):
         assert not arr.flags.writeable
     states.clear()

@@ -223,7 +223,7 @@ def test_fixed_fit_scores_its_start():
         assert (report.outer_iters, report.stop_reason) == (0, "fixed")
         assert np.isnan(report.grad_norm)
         assert np.array_equal(report.log_lambdas, start)
-        cache, _ = tmap._component_design(Z, j, [[], [0]][j], config, {})
+        cache, _ = tmap._component_design(Z, j, [[], [0]][j], config, {}, {})
         assert report.aicc == outer_objective(cache, start)[0]
 
 
@@ -500,6 +500,27 @@ def test_sparse_map_fit_builds_one_basis_per_variable(monkeypatch):
     for comp, report in zip(tri.components[1:], reports[1:]):
         assert report.design.mon_basis is comp.mon_basis
         assert all(a is b for a, b in zip(report.design.non_bases, comp.non_bases))
+
+
+def test_sparse_map_fit_evaluates_one_table_per_variable(monkeypatch):
+    """The sparse filter map's fit evaluates each variable's basis table once,
+    on its standardized column, and every design's monotone and parent
+    blocks are that table bit for bit."""
+    calls = []
+    evaluate = SplineBasis.eval
+    monkeypatch.setattr(SplineBasis, "eval",
+                        lambda self, x: calls.append(self) or evaluate(self, x))
+    ens = lorenz_joint()
+    tri, reports = fit(ens, [[], [0], [1], [1, 2]],
+                       MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
+    assert len(calls) == 4 and len(set(map(id, calls))) == 4
+    monkeypatch.undo()
+    Z = tri._std(ens.data)
+    for j, (comp, report) in enumerate(zip(tri.components[1:], reports[1:]), start=1):
+        design = report.design
+        assert np.array_equal(design.P_mon, comp.mon_basis.eval(Z[:, j]))
+        for basis, parent, sl in zip(comp.non_bases, comp.parents, design.non_slices):
+            assert np.array_equal(design.P_non[:, sl], basis.eval(Z[:, parent]))
 
 
 def test_kept_basis_tables_are_read_only():
