@@ -8,49 +8,33 @@ problem in the raw monotone parameters r: level plus nonnegative
 increments, with the log term acting as a barrier that keeps the
 derivative ``W r`` positive at every sample.
 
-``DesignCache`` holds the design and its lambda-independent Gram
-matrices, the monotone block in raw coordinates. Each row of the slope
-design ``W`` is nonzero in at most ``degree`` adjacent columns, since a
-B-spline of degree d - 1 lives on d knot spans (de Boor 1972), so the
-barrier Gram ``(W/s)'(W/s)`` that the log term adds to every Newton
-matrix is banded, the structure P-spline fitting rests on (Eilers & Marx
-1996). Beyond its tables ``P_non``, ``P_mon`` and ``W``, a design
-therefore keeps per sample only the d (d + 1) / 2 products of its in-band
-column pairs (6 for the cubic fits) and its place in a grouping of the
-samples by window (``_SlopeBand``). The inner Newton matrices, the
-monotone edf block and the outer gradient's per-sample quadratic are
-formed from them in O(n d^2) and scattered into p x p by one kept index,
-not as dense O(n p^2) products. What is fixed at a
-coarser scope is built once there: the penalty Grams, the raw-coordinate
-map and the ridges once per block size (``_penalty_terms``), and the
-Greville start once per monotone basis. ``profile_operators`` factors the
-nonmonotone system once per log-lambda and keeps its factor, the p x p
-Hessian of the reduced quadratic (a Schur complement of the Grams), the
-operator giving the optimal nonmonotone coefficients and the two
-penalties they were built from. The inner solver judges steps on exact
-objective differences, and forms the rounding floor of its stop test
-only where a bound of it, taken once per inner solve, can be met. The
-per-block effective degrees of freedom come from each smoothing block's
-diagonal system, factored straight from the design Grams and the kept
-penalties; a single parent block is the nonmonotone system itself and
-takes its factor. The outer gradient eliminates beta_non through the kept
-factor, as the profile does, and factors only the inner Newton matrix at
-the optimum.
+``DesignCache`` holds the design, its lambda-independent Gram matrices
+(the monotone block in raw coordinates) and the slope design ``W`` in
+band form: a row of ``W`` is nonzero in at most ``degree`` adjacent
+columns, since a B-spline of degree d - 1 lives on d knot spans (de Boor
+1972), so each barrier Gram ``(W/s)'(W/s)`` is formed in O(n d^2), not
+O(n p^2) (``_SlopeBand``; Eilers & Marx 1996). What is fixed over a block
+size or a basis is built once there (``_penalty_terms``, the Greville
+start). A design holds no per-point state: it is not written after it is
+built.
 
-Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of an
-AICc outer objective inside a trust radius. Its gradient, and the
-sensitivity of the inner optimum that predicts each trial's inner start,
-are computed with the implicit function theorem; every
-analytic derivative here is validated against finite differences in the
-test suite.
+``outer_objective`` scores one smoothing point: ``profile_operators``
+eliminates beta_non, the inner solver fits r, judging steps on exact
+objective differences, and each smoothing block's diagonal system gives
+its effective degrees of freedom. Its ``FitReport`` carries that point,
+and the outer gradient there factors only the inner Newton matrix.
+Smoothing parameters are adapted by a quasi-Newton (BFGS) descent of
+AICc inside a trust radius. Its gradient, and the sensitivity of the
+inner optimum that predicts each trial's inner start, come from the
+implicit function theorem; every analytic derivative here is validated
+against finite differences in the test suite.
 
 Every Cholesky factor and solve calls LAPACK's ``dpotrf``/``dpotrs``
-directly: the systems are p x p and a fit makes dozens of them, so at
-small ensembles scipy's ``cho_factor``/``cho_solve`` argument handling
-costs more than the factorizations themselves. Each matrix factored is
-positive definite by construction, so a failed factorization raises
-``LinAlgError`` (one of ``FIT_FAILURES``) naming the matrix, and is never
-retried.
+directly: at small ensembles scipy's ``cho_factor``/``cho_solve`` argument
+handling costs more than the p x p factorizations themselves. Each
+matrix factored is positive definite by construction, so a failed
+factorization raises ``LinAlgError`` (one of ``FIT_FAILURES``) naming the
+matrix, and is never retried.
 """
 
 from dataclasses import dataclass, field
@@ -281,8 +265,6 @@ class DesignCache:
         self.num_blocks = len(self.block_sizes) + 1
         self._start_raw = mon_basis._kept("greville_start", _greville_start)
         self._ridge_non = RIDGE * np.eye(self.m)
-        self._point_key, self._point_state = None, None
-        self._blocks_key, self._blocks = None, None
 
     # -- penalty assembly ---------------------------------------------------
 
@@ -308,37 +290,41 @@ class DesignCache:
     # -- reduced (profiled) objective --------------------------------------
 
     def profile_operators(self, log_lambdas):
-        """Operators (H, D, lambdas, chol) of the reduced problem after
-        eliminating beta_non.
+        """The reduced problem at ``log_lambdas`` after eliminating beta_non,
+        built afresh on every call as a read-only ``_Profile``.
 
         In raw monotone coordinates r, ``beta_non = -D @ r`` with ``D =
         (G_nn + S_non)^-1 G_nm`` are the optimal nonmonotone coefficients,
         ``H = G_mm - G_nm' D + T' S_mon T`` is the Hessian of the penalized
-        quadratic left in r, ``lambdas = exp(log_lambdas)`` and ``chol`` is
-        the Cholesky factor of ``G_nn + S_non``. The operators of the last
-        log-lambdas asked for are kept (exact match), read-only.
+        quadratic left in r, ``lambdas = exp(log_lambdas)``, ``chol`` is the
+        Cholesky factor of ``G_nn + S_non`` and ``S_non``, ``S_mon_raw`` are
+        the penalties, which the block factors of the same point read.
         """
-        return self._point(log_lambdas)[0]
-
-    def _point(self, log_lambdas):
-        """``(profile_operators(log_lambdas), (S_non, S_mon_raw))``: the
-        operators and the two penalties they were built from, which the
-        block factors of the same point read; kept with them, read-only."""
-        key = np.array(log_lambdas, dtype=float)
-        if np.array_equal(key, self._point_key):
-            return self._point_state
-        lambdas = np.exp(key)
+        log_lambdas = np.array(log_lambdas, dtype=float)
+        lambdas = np.exp(log_lambdas)
         if lambdas.size != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} lambdas, got {lambdas.size}")
         S_non, S_mon_raw = self.s_non(lambdas), self.s_mon_raw(lambdas)
         chol = _cho_factor(self.G_nn + S_non, "nonmonotone system")
         D = _cho_solve(chol, self.G_nm)
         H = self.G_mm - self.G_nm.T @ D + S_mon_raw
-        ops = (H, D, lambdas, chol)
-        for arr in (*ops, S_non, S_mon_raw):
+        profile = _Profile(log_lambdas, H, D, lambdas, chol, S_non, S_mon_raw)
+        for arr in vars(profile).values():
             arr.flags.writeable = False
-        self._point_key, self._point_state = key, (ops, (S_non, S_mon_raw))
-        return self._point_state
+        return profile
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """``DesignCache.profile_operators`` at one log-lambda point."""
+
+    log_lambdas: np.ndarray
+    H: np.ndarray
+    D: np.ndarray
+    lambdas: np.ndarray
+    chol: np.ndarray
+    S_non: np.ndarray
+    S_mon_raw: np.ndarray
 
 
 @dataclass
@@ -356,7 +342,9 @@ class FitReport:
     gradient at the returned ``log_lambdas``, NaN when no block adapts.
     ``inner_grad_norm`` is the projected gradient norm of the inner solve
     there, and ``converged`` says whether that solve met its tolerance.
-    ``design`` is the component's ``DesignCache``, for its sizes or a refit."""
+    ``design`` is the component's ``DesignCache``, for its sizes or a refit;
+    it holds no per-point state. ``point`` is the scored point, ``(profile,
+    r_hat, _block_factors(...))``, which the gradient and the fit read."""
 
     nll: float
     edf: float
@@ -370,6 +358,7 @@ class FitReport:
     edf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stop_reason: str = ""
     design: DesignCache = field(default=None, repr=False, compare=False)
+    point: tuple = field(default=None, repr=False, compare=False)
 
 
 # -- objective values -------------------------------------------------------
@@ -391,7 +380,7 @@ def nll(cache, beta_non, beta_mon_raw):
 
 def solve_non_closed_form(cache, beta_mon_raw, log_lambdas):
     """Optimal nonmonotone coefficients for fixed monotone coefficients."""
-    return -cache.profile_operators(log_lambdas)[1] @ np.asarray(beta_mon_raw, dtype=float)
+    return -cache.profile_operators(log_lambdas).D @ np.asarray(beta_mon_raw, dtype=float)
 
 
 def _newton_state(cache, H, r):
@@ -412,7 +401,7 @@ def _newton_hessian(cache, H, inv_s):
 def reduced_penalized_objective(cache, beta_mon_raw, log_lambdas):
     """Value, gradient, and Hessian of the profiled objective in raw parameters."""
     r = np.asarray(beta_mon_raw, dtype=float)
-    H = cache.profile_operators(log_lambdas)[0]
+    H = cache.profile_operators(log_lambdas).H
     s, inv_s, Hr, grad = _newton_state(cache, H, r)
     value = 0.5 * float(r @ Hr) - float(np.sum(np.log(s)))
     return value, grad, _newton_hessian(cache, H, inv_s)
@@ -458,7 +447,12 @@ def fit_inner(cache, log_lambdas, r0=None):
     Returns (raw_parameters, iterations, converged, projected_grad_norm);
     iterations is 1 for a converged start and ``INNER_MAX_ITER`` at the cap.
     """
-    H = cache.profile_operators(log_lambdas)[0]
+    return _fit_inner(cache, cache.profile_operators(log_lambdas), r0)
+
+
+def _fit_inner(cache, profile, r0):
+    """``fit_inner`` at the point whose profile operators are ``profile``."""
+    H = profile.H
     bound = _rounding_bound(H)
     r = cache.default_raw() if r0 is None else np.array(r0, dtype=float)
     r[1:] = np.maximum(r[1:], 0.0)
@@ -496,8 +490,8 @@ def fit_inner(cache, log_lambdas, r0=None):
 # -- effective degrees of freedom and outer objective -----------------------
 
 
-def _block_factors(cache, r_hat, log_lambdas):
-    """Per-block factors of the penalized Hessian at (log_lambdas, r_hat).
+def _block_factors(cache, profile, r_hat):
+    """Per-block factors of the penalized Hessian at (profile, r_hat).
 
     Returns ``(blocks, free, factors, traces)``: the smoothing blocks,
     parents first and monotone last, as (slice into (beta_non, free raw
@@ -509,18 +503,11 @@ def _block_factors(cache, r_hat, log_lambdas):
     the design's band products) plus its penalty. Each block is taken
     with the other blocks' coefficients held fixed; this keeps the lambda
     -> infinity limit at the penalty null-space dimension per block even
-    though the additive level is shared. The penalties are the ones the
-    profile operators of ``log_lambdas`` were built from, and a single
-    parent block, ``G_nn + S_non`` itself, takes the profile's factor. The
-    state of the last point asked for is kept on the cache (exact match),
-    read-only, so the ``outer_gradient`` that follows ``edf`` at the
-    accepted point factors only the inner Newton matrix.
+    though the additive level is shared. The penalties are the profile's,
+    and a single parent block, ``G_nn + S_non`` itself, takes the profile's
+    factor. The state is read-only.
     """
-    log_lambdas = np.asarray(log_lambdas, dtype=float)
-    key = np.concatenate([log_lambdas, r_hat])
-    if np.array_equal(key, cache._blocks_key):
-        return cache._blocks
-    (_, _, _, chol_non), (S_non, S_mon) = cache._point(log_lambdas)
+    S_non, S_mon = profile.S_non, profile.S_mon_raw
     free = np.ones(r_hat.size, dtype=bool)
     free[1:] = r_hat[1:] > PIN_TOL
     Hu_mon = cache.G_mm + cache.band.gram(1.0 / _slopes(cache, r_hat))
@@ -534,16 +521,14 @@ def _block_factors(cache, r_hat, log_lambdas):
     factors = []
     for i, (_, _, Hu_b, Pen_b) in enumerate(blocks):
         # a single parent block is G_nn + S_non, the matrix the profile factored
-        chol = chol_non if i == 0 and len(blocks) == 2 else \
+        chol = profile.chol if i == 0 and len(blocks) == 2 else \
             _cho_factor(Hu_b + Pen_b, "penalized Hessian block")
         factors.append((chol, _cho_solve(chol, Hu_b)))
     for arr in (free, *(a for b in blocks for a in b[1:]),
                 *(a for f in factors for a in f)):
         arr.flags.writeable = False
     traces = tuple(float(np.trace(W)) for _, W in factors)
-    state = (tuple(blocks), free, tuple(factors), traces)
-    cache._blocks_key, cache._blocks = key, state
-    return state
+    return tuple(blocks), free, tuple(factors), traces
 
 
 def edf(cache, r_hat, log_lambdas, per_block=False):
@@ -552,7 +537,7 @@ def edf(cache, r_hat, log_lambdas, per_block=False):
     With ``per_block=True`` also returns the per-block traces
     (parents first, monotone last).
     """
-    traces = _block_factors(cache, r_hat, log_lambdas)[-1]
+    traces = _block_factors(cache, cache.profile_operators(log_lambdas), r_hat)[-1]
     total = float(sum(traces))
     if not per_block:
         return total
@@ -573,16 +558,19 @@ def _aicc_penalty_deriv(edf_value, n):
 
 
 def outer_objective(cache, log_lambdas, r0=None):
-    """Fit the inner problem and score it with AICc; returns (aicc, report, r_hat)."""
-    r_hat, iters, conv, pg = fit_inner(cache, log_lambdas, r0=r0)
-    total, blocks = edf(cache, r_hat, log_lambdas, per_block=True)
-    nll_value = nll(cache, solve_non_closed_form(cache, r_hat, log_lambdas), r_hat)
+    """Fit the inner problem on one profile and score it with AICc; returns
+    (aicc, report, r_hat), the report carrying the point."""
+    profile = cache.profile_operators(log_lambdas)
+    r_hat, iters, conv, pg = _fit_inner(cache, profile, r0)
+    factors = _block_factors(cache, profile, r_hat)
+    total = float(sum(factors[-1]))
+    nll_value = nll(cache, -profile.D @ r_hat, r_hat)
     aicc = nll_value + _aicc_penalty(total, cache.n)
     report = FitReport(
         nll=nll_value, edf=total, aicc=aicc,
         log_lambdas=np.array(log_lambdas, dtype=float),
         inner_iters=iters, converged=conv, inner_grad_norm=pg,
-        edf_blocks=blocks, design=cache,
+        edf_blocks=np.array(factors[-1]), design=cache, point=(profile, r_hat, factors),
     )
     return aicc, report, r_hat
 
@@ -594,18 +582,20 @@ def outer_gradient(cache, log_lambdas, r_hat=None):
     increment at or below ``PIN_TOL`` is removed from the implicit system
     (its sensitivity is zero), whatever the sign of its multiplier.
     """
+    profile = cache.profile_operators(log_lambdas)
     if r_hat is None:
-        r_hat, _, _, _ = fit_inner(cache, log_lambdas)
-    return _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat)[0]
+        r_hat = _fit_inner(cache, profile, None)[0]
+    point = (profile, r_hat, _block_factors(cache, profile, r_hat))
+    return _outer_gradient_and_sensitivity(cache, point)[0]
 
 
-def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
-    """``outer_gradient`` at the inner optimum ``r_hat`` together with its
-    sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows at the
-    increments at or below ``PIN_TOL``, which the solve leaves out): both
-    come from the one implicit-function solve."""
-    _, D, lambdas, chol_n = cache.profile_operators(log_lambdas)
-    blocks, free, factors, traces = _block_factors(cache, r_hat, log_lambdas)
+def _outer_gradient_and_sensitivity(cache, point):
+    """``outer_gradient`` at a scored point (``FitReport.point``) together
+    with the sensitivity ``d r_hat / d log_lambdas`` (p x blocks, zero rows
+    at the increments at or below ``PIN_TOL``, which the solve leaves out):
+    both come from the one implicit-function solve."""
+    profile, r_hat, (blocks, free, factors, traces) = point
+    D, lambdas = profile.D, profile.lambdas
     penprime = _aicc_penalty_deriv(sum(traces), cache.n)
     beta = np.concatenate([-D @ r_hat, r_hat[free]])
 
@@ -624,7 +614,7 @@ def _outer_gradient_and_sensitivity(cache, log_lambdas, r_hat):
     N = blocks[-1][2] + blocks[-1][3] - G_f.T @ D_f
     rhs_n = rhs[:cache.m]
     dr_f = -_cho_solve(_cho_factor(N, "inner Newton matrix"), rhs[cache.m:] - D_f.T @ rhs_n)
-    dbeta = np.concatenate([-_cho_solve(chol_n, rhs_n) - D_f @ dr_f, dr_f])
+    dbeta = np.concatenate([-_cho_solve(profile.chol, rhs_n) - D_f @ dr_f, dr_f])
 
     # only the monotone block's edf depends on beta (through the barrier)
     chol_m, W_m = factors[-1]
@@ -682,7 +672,7 @@ def adapt_lambdas(cache, log_lambdas0, adapt_mask, max_outer):
     inv_hess = None   # stands for the identity until the first BFGS update
     last_step, last_grad = None, None
     while mask.any():
-        full, dr = _outer_gradient_and_sensitivity(cache, logl, r_hat)
+        full, dr = _outer_gradient_and_sensitivity(cache, report.point)
         grad = np.where(mask, full, 0.0)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= OUTER_TOL_GRAD:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .component import MapComponent
-from .objective import LOG_LAMBDA_BOUNDS, DesignCache, adapt_lambdas, solve_non_closed_form
+from .objective import LOG_LAMBDA_BOUNDS, DesignCache, adapt_lambdas
 from .splines import DegenerateDimensionError, KnotVector, SplineBasis, make_knots
 
 logger = logging.getLogger(__name__)
@@ -411,8 +411,8 @@ def fit(ensemble, parent_sets, config=None):
             if config.monotone_log_lambda is not None:
                 logl0[-1] = config.monotone_log_lambda
                 mask[-1] = False
-            logl, reports[j], r_hat = adapt_lambdas(cache, logl0, mask, config.max_outer)
-            tri.components[j] = _component_from_fit(cache, kept_parents, j, logl, r_hat)
+            reports[j] = adapt_lambdas(cache, logl0, mask, config.max_outer)[1]
+            tri.components[j] = _component_from_fit(cache, kept_parents, j, _fitted(reports[j]))
     return tri, reports
 
 
@@ -447,9 +447,13 @@ def _component_design(Z, j, parents, config, bases, tables):
     return cache, kept_parents
 
 
-def _component_from_fit(cache, parents, j, log_lambdas, r_hat):
-    """MapComponent j from raw monotone parameters fitted at log_lambdas."""
-    beta_non = solve_non_closed_form(cache, r_hat, log_lambdas)
-    return MapComponent(parents, j, cache.non_bases, cache.mon_basis,
-                        beta_non, r_hat, log_lambdas)
+def _fitted(report):
+    """``(beta_non, r_hat, log_lambdas)`` at the point a ``FitReport`` carries."""
+    profile, r_hat, _ = report.point
+    return -profile.D @ r_hat, r_hat, report.log_lambdas.copy()
+
+
+def _component_from_fit(cache, parents, j, fitted):
+    """MapComponent j on ``cache`` with ``_fitted`` coefficients."""
+    return MapComponent(parents, j, cache.non_bases, cache.mon_basis, *fitted)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import FIT_FAILURES, LOG_LAMBDA_BOUNDS, outer_objective
-from .tmap import Ensemble, MapFitConfig, _check_fields, _component_from_fit, fit
+from .tmap import Ensemble, MapFitConfig, _check_fields, _component_from_fit, _fitted, fit
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def profile_lambda(config=None):
             logger.warning("log lambda %g: inner solve unconverged, projected gradient %.3g",
                            logl, report.inner_grad_norm)
         table[i, 1:] = [report.nll, report.edf, aicc]
-        fits[float(logl)] = (logls, r_hat)
+        fits[float(logl)] = _fitted(report)   # not the report: its point holds p x p factors
 
     ok = np.isfinite(table[:, 3])
     if not ok.any():
@@ -129,7 +129,7 @@ def profile_lambda(config=None):
     rng = np.random.default_rng(config.seed + 1)
     z_ref = rng.standard_normal((config.num_pullback, 2))
     for logl in _representative(config.grid[ok], argmin):
-        tri.components[1] = _component_from_fit(cache, parents, 1, *fits[float(logl)])
+        tri.components[1] = _component_from_fit(cache, parents, 1, fits[float(logl)])
         push = tri.pushforward_ensemble(ensemble).data
         pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}

@@ -173,7 +173,7 @@ def test_invert_many_retires_rows_as_they_converge(monkeypatch):
     unmet = np.abs(evaluate(comp._mon, x) - t) > component.INVERT_TOL * np.maximum(1, np.abs(z))
     assert sizes[-1] == np.count_nonzero((t < low) | (t > high) | unmet) < 4000
     assert all(a >= b for a, b in zip(newton, newton[1:]))
-    assert len(set(newton)) > 3
+    assert np.count_nonzero(np.diff(newton) < 0) >= 2
     resid = np.abs(comp.eval_many(np.column_stack([rows[:, 0], x])) - z)
     assert np.all(resid <= residual_contract(comp, x, z))
 

@@ -208,14 +208,14 @@ def test_inner_solves_converge_in_filter_runs(monkeypatch):
     """Every inner solve converges before INNER_MAX_ITER, also at the small
     smoothing parameters where the monotone level and the parent constants
     are nearly confounded (seed 1 at n=1000, seed 0 at n=50)."""
-    inner = objective.fit_inner
+    inner = objective._fit_inner
     results = []
 
     def recorded(*args, **kwargs):
         results.append(inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(objective, "fit_inner", recorded)
+    monkeypatch.setattr(objective, "_fit_inner", recorded)
     run_filter(Lorenz63Params(steps=6), 1000, seed=1)
     run_filter(Lorenz63Params(steps=8), 50, seed=0)
     assert len(results) > 1000
@@ -233,9 +233,9 @@ def test_outer_search_ends_when_the_step_stops_moving(monkeypatch):
     gradient, adapt = objective._outer_gradient_and_sensitivity, tmap.adapt_lambdas
     paths, reports = [], []
 
-    def recorded_gradient(cache, log_lambdas, r_hat):
-        paths[-1].append(np.array(log_lambdas))
-        return gradient(cache, log_lambdas, r_hat)
+    def recorded_gradient(cache, point):
+        paths[-1].append(point[0].log_lambdas)
+        return gradient(cache, point)
 
     def recorded_adapt(*args):
         paths.append([])

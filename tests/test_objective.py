@@ -191,19 +191,19 @@ def indefinite_nonmonotone_system(monkeypatch, cache, logl, r_hat):
 
 
 def indefinite_monotone_block(monkeypatch, cache, logl, r_hat):
-    """Break the monotone penalty and ask for the block factors at a new
-    point: the profile operators built there keep the broken penalty, which
-    the block factors read."""
+    """Break the monotone penalty: the profile operators built at the next
+    point keep the broken penalty, which the block factors read."""
     monkeypatch.setattr(cache, "s_mon_raw", lambda lambdas: -1e6 * np.eye(cache.p))
-    return lambda: objective._block_factors(cache, r_hat, logl + 1.0)
+    return lambda: objective._block_factors(cache, cache.profile_operators(logl + 1.0), r_hat)
 
 
 def indefinite_gradient_newton_matrix(monkeypatch, cache, logl, r_hat):
     """Scale the parent-monotone coupling the gradient subtracts after the
-    profile operators at logl are kept, so only the Schur complement that
-    the gradient factors, the inner Newton matrix at r_hat, fails."""
+    point at logl is scored, so only the Schur complement that the gradient
+    factors, the inner Newton matrix at r_hat, fails."""
+    point = outer_objective(cache, logl, r0=r_hat)[1].point
     monkeypatch.setattr(cache, "G_nm", 1e6 * cache.G_nm)
-    return lambda: objective._outer_gradient_and_sensitivity(cache, logl, r_hat)
+    return lambda: objective._outer_gradient_and_sensitivity(cache, point)
 
 
 @pytest.mark.parametrize("break_matrix, name", [
@@ -254,7 +254,7 @@ def test_inner_solve_stops_at_the_rounding_of_h_r(monkeypatch):
     monkeypatch.setattr(objective, "ROUNDING_ULPS", 0)
     r_cap, cap_iters, cap_converged, _ = fit_inner(cache, logl)
     assert (cap_iters, cap_converged) == (objective.INNER_MAX_ITER, False)
-    H = cache.profile_operators(logl)[0]
+    H = cache.profile_operators(logl).H
     rounding = np.finfo(float).eps * float(np.abs(r) @ np.abs(H) @ np.abs(r))
     value = reduced_penalized_objective(cache, r, logl)[0]
     assert value - reduced_penalized_objective(cache, r_cap, logl)[0] <= rounding
@@ -292,7 +292,7 @@ def stationarity_cases():
     logl = np.array([1.2, 15.0])
     r = fit_inner(cache, logl)[0]
     s = cache.W @ r
-    yield cache.profile_operators(logl)[0], r, cache.W.T @ (1.0 / s)
+    yield cache.profile_operators(logl).H, r, cache.W.T @ (1.0 / s)
 
 
 def test_stationarity_bound_gives_the_exact_decision():
@@ -330,11 +330,11 @@ def test_one_parent_block_takes_the_profile_factor(monkeypatch):
                                        (two_parent_cache, [0.5, -1.0, 1.5], 2)):
         cache, logl = make(), np.array(logl)
         r_hat = fit_inner(cache, logl)[0]
+        profile = cache.profile_operators(logl)
         names = factored(monkeypatch)
-        blocks, _, factors, traces = objective._block_factors(cache, r_hat, logl)
+        blocks, _, factors, traces = objective._block_factors(cache, profile, r_hat)
         assert names == ["penalized Hessian block"] * (parent_factors + 1)
-        chol = cache.profile_operators(logl)[3]
-        assert (factors[0][0] is chol) == (parent_factors == 0)
+        assert (factors[0][0] is profile.chol) == (parent_factors == 0)
         _, _, Hu, Pen = blocks[0]
         fresh = objective._cho_factor(Hu + Pen, "fresh")
         assert np.array_equal(factors[0][0], fresh)
@@ -382,27 +382,34 @@ def two_parent_cache(n=120, seed=3):
     return DesignCache(bases[:2], [x1, x2], bases[2], x3, 2)
 
 
-def test_profile_operators_kept_per_lambda():
+def test_profile_operators_builds_a_read_only_record_per_call():
+    """Each call builds its record afresh, also at log-lambdas asked for
+    before, bit for bit as a fresh design builds it; the record and its
+    arrays are read-only."""
     logl1, logl2 = np.array([0.5, -1.0, 1.5]), np.array([2.0, 0.0, 1.0])
     cache = two_parent_cache()
     first = cache.profile_operators(logl1)
     cache.profile_operators(logl2)
     again = cache.profile_operators(logl1)
     fresh = two_parent_cache().profile_operators(logl1)
-    assert len(again) == 4
-    for got, want in zip(again, fresh):
-        assert np.array_equal(got, want)
+    assert again is not first
+    names = ["log_lambdas", "H", "D", "lambdas", "chol", "S_non", "S_mon_raw"]
+    assert list(vars(again)) == names
+    for name in names:
+        got = getattr(again, name)
+        assert np.array_equal(got, getattr(fresh, name))
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = 0.0
-    assert np.array_equal(first[1], again[1])
-    H, D, lambdas, chol = again
-    assert np.array_equal(lambdas, np.exp(logl1))
-    A = cache.G_nn + cache.s_non(lambdas)
-    U = np.triu(chol)
+    with pytest.raises(AttributeError):
+        again.H = fresh.H
+    assert np.array_equal(again.log_lambdas, logl1)
+    assert np.array_equal(again.lambdas, np.exp(logl1))
+    A = cache.G_nn + cache.s_non(again.lambdas)
+    U = np.triu(again.chol)
     assert np.max(np.abs(U.T @ U - A)) <= 1e-12 * np.max(np.abs(A))
     r = feasible_raw(cache)
-    assert np.array_equal(solve_non_closed_form(cache, r, logl1), -D @ r)
+    assert np.array_equal(solve_non_closed_form(cache, r, logl1), -again.D @ r)
 
 
 def no_parent_cache(n=80, seed=3):
@@ -442,8 +449,8 @@ def test_parentless_component_runs_every_stage():
     """m == 0: the nonmonotone system is 0 x 0 and only the monotone block is left."""
     cache = no_parent_cache()
     logl = np.array([1.0])
-    _, D, _, chol = cache.profile_operators(logl)
-    assert D.shape == (0, cache.p) and chol.shape == (0, 0)
+    profile = cache.profile_operators(logl)
+    assert profile.D.shape == (0, cache.p) and profile.chol.shape == (0, 0)
     r_hat, _, converged, _ = fit_inner(cache, logl)
     assert converged
     total, blocks = edf(cache, r_hat, logl, per_block=True)
@@ -505,7 +512,7 @@ def kept_arrays(obj):
 def test_design_keeps_the_band_products_per_sample(make_cache):
     """Beyond P_non, P_mon and W, a design keeps at most d(d+1)/2 + 1 values
     per sample, the band products and the window order, also after a fit
-    has filled its kept profile and block states."""
+    and an outer gradient."""
     cache = make_cache()
     logl = np.ones(cache.num_blocks)
     _, _, r_hat = outer_objective(cache, logl)
@@ -523,7 +530,8 @@ def test_profile_operators_matches_profiled_design(make_cache):
     T r, T lower-triangular ones), with or without parents."""
     cache = make_cache()
     logl = np.r_[np.linspace(-1.0, 1.0, cache.num_blocks - 1), 1.5]
-    H, D, lambdas, _ = cache.profile_operators(logl)
+    profile = cache.profile_operators(logl)
+    H, D, lambdas = profile.H, profile.D, profile.lambdas
     assert D.shape == (cache.m, cache.p)
     T = np.tril(np.ones((cache.p, cache.p)))
     A = cache.P_mon @ T - cache.P_non @ D
@@ -560,20 +568,6 @@ def test_edf_blocks_match_explicit_formula():
     assert total == pytest.approx(sum(expected), rel=1e-9)
 
 
-def kept_states(monkeypatch):
-    """Record every block state ``_block_factors`` hands out; a state object
-    not handed out before was assembled and factored by that call."""
-    build, states = objective._block_factors, []
-    monkeypatch.setattr(objective, "_block_factors",
-                        lambda *args: states.append(build(*args)) or states[-1])
-    return states
-
-
-def assembled(states):
-    """Number of distinct state objects in ``states``."""
-    return sum(all(st is not prev for prev in states[:i]) for i, st in enumerate(states))
-
-
 def factored(monkeypatch):
     """Record the name of every matrix ``_cho_factor`` factors."""
     factor, names = objective._cho_factor, []
@@ -582,41 +576,50 @@ def factored(monkeypatch):
     return names
 
 
-def test_hessian_state_kept_per_point(monkeypatch):
-    """outer_gradient reuses the profile operators and the block state that
-    edf factored at the same (lambda, r_hat), bit for bit, and factors only
-    the inner Newton matrix; at another r_hat it builds one new block state.
-    The block state is read-only."""
-    logl = np.array([0.5, -1.0, 1.5])
-    cache = two_parent_cache()
-    _, _, r_hat = outer_objective(cache, logl)
-    other = feasible_raw(cache, seed=4)
-    want = outer_gradient(two_parent_cache(), logl, r_hat=r_hat)
-    want_other = outer_gradient(two_parent_cache(), logl, r_hat=other)
-    kept = cache._blocks
-    states, names = kept_states(monkeypatch), factored(monkeypatch)
-    assert np.array_equal(outer_gradient(cache, logl, r_hat=r_hat), want)
-    assert states and all(st is kept for st in states)
-    assert names == ["inner Newton matrix"]
-    blocks, free, factors, _ = kept
-    for arr in (free, *(a for b in blocks for a in b[1:]),
-                *(a for f in factors for a in f)):
+def profiled(monkeypatch):
+    """Record the log-lambdas of every profile a design builds."""
+    build, points = DesignCache.profile_operators, []
+    monkeypatch.setattr(DesignCache, "profile_operators",
+                        lambda self, logl: points.append(np.array(logl)) or build(self, logl))
+    return points
+
+
+@pytest.mark.parametrize("make, logl, parent_factors", [
+    (gaussian_cache, [1.0, 2.0], 0),
+    (two_parent_cache, [0.5, -1.0, 1.5], 2),
+])
+def test_a_score_builds_one_profile_and_factors_each_matrix_once(monkeypatch, make, logl,
+                                                                  parent_factors):
+    """outer_objective builds one profile and factors the nonmonotone system
+    once, the inner Newton matrix once per stepping pass and each block once
+    (a single parent block takes the profile's factor). The gradient at the
+    point its report carries builds no profile, factors only the inner
+    Newton matrix and matches a fresh design's outer_gradient bit for bit.
+    The point's block state is read-only."""
+    cache, logl = make(), np.array(logl)
+    points, names = profiled(monkeypatch), factored(monkeypatch)
+    _, report, r_hat = outer_objective(cache, logl)
+    assert len(points) == 1 and np.array_equal(points[0], logl)
+    assert names == ["nonmonotone system"] + ["inner Newton matrix"] * (report.inner_iters - 1) \
+        + ["penalized Hessian block"] * (parent_factors + 1)
+    profile, point_r_hat, (blocks, free, factors, traces) = report.point
+    assert point_r_hat is r_hat and np.array_equal(profile.log_lambdas, logl)
+    assert np.array_equal(report.edf_blocks, traces)
+    for arr in (free, *(a for b in blocks for a in b[1:]), *(a for f in factors for a in f)):
         assert not arr.flags.writeable
-    states.clear()
+    points.clear()
     names.clear()
-    assert np.array_equal(outer_gradient(cache, logl, r_hat=other), want_other)
-    assert assembled(states) == 1 and states[0] is not kept
-    assert cache._blocks is states[0]
-    assert names == ["penalized Hessian block"] * cache.num_blocks + ["inner Newton matrix"]
-    assert not np.array_equal(want_other, want)
+    grad, _ = objective._outer_gradient_and_sensitivity(cache, report.point)
+    assert points == [] and names == ["inner Newton matrix"]
+    assert np.array_equal(grad, outer_gradient(make(), logl, r_hat=r_hat))
 
 
-def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
-    """Each score factors one block state; each gradient reuses the block
-    state and the profile operators of its point and factors only the
-    inner Newton matrix."""
-    counts = {"objective": 0, "gradient": 0, "in_gradient": 0}
-    states, names = kept_states(monkeypatch), factored(monkeypatch)
+def test_adapt_lambdas_builds_one_profile_per_objective(monkeypatch):
+    """Over a search, each score builds one profile and factors one block
+    state; each gradient reads the point its report carries and factors only
+    the inner Newton matrix."""
+    counts = {"objective": 0, "gradient": 0}
+    points, names = profiled(monkeypatch), factored(monkeypatch)
     score = objective.outer_objective
     gradient = objective._outer_gradient_and_sensitivity
 
@@ -626,9 +629,9 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
 
     def counted_gradient(*args, **kwargs):
         counts["gradient"] += 1
-        before, names_before = assembled(states), len(names)
+        points_before, names_before = len(points), len(names)
         out = gradient(*args, **kwargs)
-        counts["in_gradient"] += assembled(states) - before
+        assert len(points) == points_before
         assert names[names_before:] == ["inner Newton matrix"]
         return out
 
@@ -636,8 +639,55 @@ def test_adapt_lambdas_assembles_hessian_once_per_objective(monkeypatch):
     monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted_gradient)
     adapt_lambdas(gaussian_cache(seed=5), np.full(2, 2.0), np.ones(2, bool), max_outer=10)
     assert counts["gradient"] >= 2
-    assert assembled(states) == counts["objective"]
-    assert counts["in_gradient"] == 0
+    assert len(points) == counts["objective"]
+    assert names.count("nonmonotone system") == counts["objective"]
+    assert names.count("penalized Hessian block") == counts["objective"]   # one parent
+
+
+def design_state(cache):
+    """Every attribute of a design and of its band, with the bytes of each array."""
+    items = {**vars(cache), **{f"band.{k}": v for k, v in vars(cache.band).items()}}
+    return {name: (value, value.tobytes() if isinstance(value, np.ndarray) else None,
+                   list(value) if isinstance(value, list) else None)
+            for name, value in items.items()}
+
+
+def test_a_design_is_never_written_by_a_search():
+    """adapt_lambdas and outer_gradient leave every attribute of the design
+    the same object with the same bytes: a design holds no per-point state."""
+    cache = two_parent_cache()
+    before = design_state(cache)
+    logl, _, r_hat = adapt_lambdas(cache, np.array([0.5, -1.0, 1.5]), np.ones(3, bool), 5)
+    outer_gradient(cache, logl + 0.25, r_hat=r_hat)
+    outer_gradient(cache, logl)
+    after = design_state(cache)
+    assert list(after) == list(before)
+    for name, (value, data, items) in before.items():
+        got, got_data, got_items = after[name]
+        assert got is value and got_data == data, name
+        assert items is None or all(a is b for a, b in zip(got_items, items, strict=True))
+
+
+def test_interleaved_points_match_fresh_designs():
+    """outer_objective at two log-lambdas, alternating on one design, gives
+    each point's score, report, inner optimum and gradient bit for bit as a
+    fresh design does."""
+    logls = [np.array([0.5, -1.0, 1.5]), np.array([2.0, 0.0, 1.0])]
+    want = []
+    for logl in logls:
+        fresh = two_parent_cache()
+        aicc, report, r_hat = outer_objective(fresh, logl)
+        want.append((aicc, report.nll, report.edf, report.edf_blocks, r_hat,
+                     objective._outer_gradient_and_sensitivity(fresh, report.point)))
+    cache = two_parent_cache()
+    for k in (0, 1, 0, 1):
+        aicc, report, r_hat = outer_objective(cache, logls[k])
+        got = (aicc, report.nll, report.edf, report.edf_blocks, r_hat,
+               objective._outer_gradient_and_sensitivity(cache, report.point))
+        for a, b in zip(got[:5], want[k][:5]):
+            assert np.array_equal(a, b)
+        for a, b in zip(got[5], want[k][5]):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("make, logl, num_pinned", [
@@ -652,10 +702,10 @@ def test_sensitivity_matches_refit_finite_differences(make, logl, num_pinned):
     constants), matches central differences of refitted inner optima, also
     where an increment is pinned at zero."""
     cache, logl, h = make(), np.array(logl), 1e-4
-    r_hat = fit_inner(cache, logl)[0]
+    _, report, r_hat = outer_objective(cache, logl)
     pinned = r_hat[1:] <= objective.PIN_TOL
     assert pinned.sum() == num_pinned
-    dr = objective._outer_gradient_and_sensitivity(cache, logl, r_hat)[1]
+    dr = objective._outer_gradient_and_sensitivity(cache, report.point)[1]
     assert not dr[1:][pinned].any()
     for b in range(logl.size):
         step = h * np.eye(logl.size)[b]
@@ -715,16 +765,17 @@ def test_report_describes_the_returned_point(cache, monkeypatch, mask, max_outer
     calls = []
     gradient = objective._outer_gradient_and_sensitivity
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return gradient(*args, **kwargs)
+    def counted(cache, point):
+        calls.append(point)
+        return gradient(cache, point)
 
     monkeypatch.setattr(objective, "_outer_gradient_and_sensitivity", counted)
     mask = np.array(mask)
     logl, report, r_hat = adapt_lambdas(cache, np.full(2, 2.0), mask, max_outer)
-    assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, logl, r_hat)[0], 0))
+    assert report.grad_norm == np.linalg.norm(np.where(mask, gradient(cache, report.point)[0], 0))
     assert report.outer_iters == len(calls) - 1
-    assert np.array_equal(calls[-1], logl)
+    assert calls[-1] is report.point and report.point[1] is r_hat
+    assert np.array_equal(report.point[0].log_lambdas, logl)
     assert report.stop_reason in ("gradient", "objective", "cap")
     if report.stop_reason == "cap":
         assert report.outer_iters == max_outer
@@ -759,16 +810,16 @@ def test_failed_trial_halves_the_step(cache, monkeypatch):
     """A trial point whose inner solve raises LinAlgError scores infinity,
     so the line search halves the step and still returns a scored point."""
     start = np.array([2.0, 2.0])
-    fit = objective.fit_inner
+    fit = objective._fit_inner
     trials = []
 
-    def fail_first_trial(cache, log_lambdas, r0=None):
-        trials.append(np.array(log_lambdas))
+    def fail_first_trial(cache, profile, r0):
+        trials.append(profile.log_lambdas)
         if len(trials) == 2:   # the first call scores the start
             raise np.linalg.LinAlgError("not positive definite")
-        return fit(cache, log_lambdas, r0=r0)
+        return fit(cache, profile, r0)
 
-    monkeypatch.setattr(objective, "fit_inner", fail_first_trial)
+    monkeypatch.setattr(objective, "_fit_inner", fail_first_trial)
     logl, report, _ = adapt_lambdas(cache, start, np.ones(2, bool), 1)
     assert np.allclose(trials[2] - start, (trials[1] - start) / 2, rtol=0, atol=1e-15)
     assert report.outer_iters == 1 and np.array_equal(logl, trials[2])
@@ -786,8 +837,8 @@ def test_predicted_inner_start_reaches_the_same_optimum(make, logl, step):
     prediction r_hat + dr @ step (the start adapt_lambdas passes) reaches the
     optimum it reaches from r_hat, to the inner tolerance, in fewer passes."""
     cache, logl, step = make(), np.array(logl), np.array(step)
-    r_hat = fit_inner(cache, logl)[0]
-    dr = objective._outer_gradient_and_sensitivity(cache, logl, r_hat)[1]
+    _, report, r_hat = outer_objective(cache, logl)
+    dr = objective._outer_gradient_and_sensitivity(cache, report.point)[1]
     r0 = r_hat + dr @ step
     predicted, iters, converged, _ = fit_inner(cache, logl + step, r0=r0)
     plain, plain_iters, plain_converged, _ = fit_inner(cache, logl + step, r0=r_hat)

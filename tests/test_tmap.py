@@ -541,7 +541,7 @@ def test_kept_basis_tables_are_read_only():
                         assert not arr.flags.writeable
         cache = report.design
         kept = [cache.mon_gram, cache.mon_gram_raw, cache.ridge_raw, *cache.non_grams,
-                *cache._point(report.log_lambdas)[1]]
+                report.point[0].S_non, report.point[0].S_mon_raw]
         assert all(not arr.flags.writeable for arr in kept)
         assert np.array_equal(cache.default_raw(), cache._start_raw)
         assert cache.default_raw().flags.writeable

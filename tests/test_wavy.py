@@ -155,7 +155,7 @@ def test_profile_keeps_only_numerical_failures(monkeypatch):
 def test_profile_inner_solves_converge(monkeypatch):
     """Every inner solve of the default profile converges, on the grid and
     inside the smoothing adaptation."""
-    inner = objective.fit_inner
+    inner = objective._fit_inner
     converged = []
 
     def recorded(*args, **kwargs):
@@ -163,7 +163,7 @@ def test_profile_inner_solves_converge(monkeypatch):
         converged.append(out[2])
         return out
 
-    monkeypatch.setattr(objective, "fit_inner", recorded)
+    monkeypatch.setattr(objective, "_fit_inner", recorded)
     profile_lambda(WavyConfig(num_pullback=50))
     assert len(converged) > 41 and all(converged)
 
@@ -173,13 +173,13 @@ def test_profile_warns_on_unconverged_inner_solve(monkeypatch, caplog):
     gradient; the table is unchanged."""
     config = WavyConfig(grid=np.linspace(-10, 10, 9), num_pullback=10)
     want = profile_lambda(config).table
-    inner = objective.fit_inner
+    inner = objective._fit_inner
 
-    def unconverged_at_minus_five(cache, log_lambdas, r0=None, **kwargs):
-        r, iters, converged, pg = inner(cache, log_lambdas, r0=r0, **kwargs)
-        return r, iters, converged and log_lambdas[0] != -5.0, pg
+    def unconverged_at_minus_five(cache, profile, r0):
+        r, iters, converged, pg = inner(cache, profile, r0)
+        return r, iters, converged and profile.log_lambdas[0] != -5.0, pg
 
-    monkeypatch.setattr(objective, "fit_inner", unconverged_at_minus_five)
+    monkeypatch.setattr(objective, "_fit_inner", unconverged_at_minus_five)
     with caplog.at_level(logging.WARNING, logger="pstransport.wavy"):
         table = profile_lambda(config).table
     assert np.array_equal(table, want, equal_nan=True)
