@@ -24,12 +24,9 @@ check. ``ddx`` keeps the increment form
 exactly >= 0, and exactly 0 where the increments around x are zero, which
 ``log_pullback_density`` relies on to tell a flat stretch (log density
 -inf) from a steep one; the rounding of a power form cannot promise that.
-The basis tables stay for the design matrices of the fit.
-
-What depends on a basis alone is kept on the basis, so the components of
-one map fit that read the same variable, and the components a wavy
-profile rebuilds on one design, build it once: the pp tables of
-``splines.PiecewisePolynomial`` and the Newton start points.
+The basis tables stay for the design matrices of the fit. The pp tables
+that depend on a basis alone are kept on the basis, so the components of
+one map fit that read the same variable share them.
 """
 
 import numpy as np
@@ -68,26 +65,20 @@ def _not_invertible(reason, gap, z_targets):
     )
 
 
-def _start_points(basis):
-    """START_POINTS_PER_SPAN evenly spaced points of each real knot span of
-    ``basis``, the knots included, read-only."""
-    knots = basis.knots.real
+def _newton_starts(f, knots):
+    """Bracket and secant start of ``f(x) = t`` for t in [f(knots[0]), f(knots[-1])].
+
+    f is non-decreasing up to rounding, so with p the START_POINTS_PER_SPAN
+    evenly spaced points of each span of the real ``knots``, the knots
+    included, and V the running maximum of f at them, a target with
+    V_i <= t < V_i+1 has its root in [p_i, p_i+1]. The lookup runs over the
+    starts of the sub-spans where V rises, and the last one, so a flat
+    stretch adds no break to it. Returns the lookup and the tables it
+    indexes: bracket ends, start value and secant rate (0 on a flat last
+    sub-span).
+    """
     points = np.concatenate(((knots[:-1, None] + (knots[1:] - knots[:-1])[:, None]
                               * _START_FRACTIONS).ravel(), knots[-1:]))
-    points.flags.writeable = False
-    return points
-
-
-def _newton_starts(f, points):
-    """Bracket and secant start of ``f(x) = t`` for t in [f(points[0]), f(points[-1])].
-
-    f is non-decreasing up to rounding, so with V the running maximum of f
-    at the ``_start_points`` p of its basis, a target with V_i <= t < V_i+1
-    has its root in [p_i, p_i+1]. The lookup runs over the starts of the
-    sub-spans where V rises, and the last one, so a flat stretch adds no
-    break to it. Returns the lookup and the tables it indexes: bracket
-    ends, start value and secant rate (0 on a flat last sub-span).
-    """
     values = np.maximum.accumulate(f(points))
     rising = np.concatenate((np.flatnonzero(values[1:-1] > values[:-2]), [values.size - 2]))
     # lookup result e (breaks <= t) serves sub-span rising[e - 1]; e = 0 only
@@ -155,7 +146,7 @@ class MapComponent:
         self._mon = PiecewisePolynomial(mon_basis, self.beta_mon)
         self._non = [PiecewisePolynomial(b, self.beta_non[i:j])
                      for b, i, j in zip(non_bases, ends[:-1], ends[1:])]
-        self._starts = _newton_starts(self._mon, mon_basis._kept("start_points", _start_points))
+        self._starts = _newton_starts(self._mon, mon_basis.knots.real)
 
     def ddx(self, x_own):
         """Derivative of the monotone term; independent of the parents.

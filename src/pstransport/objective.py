@@ -13,10 +13,9 @@ derivative ``W r`` positive at every sample.
 band form: a row of ``W`` is nonzero in at most ``degree`` adjacent
 columns, since a B-spline of degree d - 1 lives on d knot spans (de Boor
 1972), so each barrier Gram ``(W/s)'(W/s)`` is formed in O(n d^2), not
-O(n p^2) (``_SlopeBand``; Eilers & Marx 1996). What is fixed over a block
-size or a basis is built once there (``_penalty_terms``, the Greville
-start). A design holds no per-point state: it is not written after it is
-built.
+O(n p^2) (``_SlopeBand``; Eilers & Marx 1996). The penalties fixed by a
+block size are built once per size (``_penalty_terms``). A design holds
+no per-point state: it is not written after it is built.
 
 ``outer_objective`` scores one smoothing point: ``profile_operators``
 eliminates beta_non, the inner solver fits r, judging steps on exact
@@ -107,23 +106,14 @@ FIT_FAILURES = (BarrierViolationError, ModelTooComplexError, np.linalg.LinAlgErr
 def _penalty_terms(size, order):
     """Read-only matrices fixed by a block size and penalty order: the map
     ``T`` from raw monotone coordinates to coefficients (lower-triangular
-    ones), the penalty Gram ``K``, ``T' K T``, ``RIDGE T' T`` and ``RIDGE I``.
-    A map fit's blocks share a few sizes, so each is built once."""
+    ones), the penalty Gram ``K``, ``T' K T`` and ``RIDGE T' T``. A map
+    fit's blocks share a few sizes, so each is built once."""
     T = np.tril(np.ones((size, size)))
     K = make_penalty(size, order).gram
-    terms = (T, K, T.T @ K @ T, RIDGE * (T.T @ T), RIDGE * np.eye(size))
+    terms = (T, K, T.T @ K @ T, RIDGE * (T.T @ T))
     for arr in terms:
         arr.flags.writeable = False
     return terms
-
-
-def _greville_start(basis):
-    """Raw coordinates of the Greville coefficients, increments floored at
-    1e-8: a feasible, identity-like monotone start; read-only."""
-    beta = basis.greville()
-    start = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
-    start.flags.writeable = False
-    return start
 
 
 @lru_cache(maxsize=8)
@@ -255,15 +245,18 @@ class DesignCache:
         # terms, and the monotone Grams and penalty below act on r
         self.W = np.ascontiguousarray(mon_basis.eval_deriv_increments(own_samples))
         self.band = _SlopeBand(self.W, mon_basis.degree)
-        T, self.mon_gram, self.mon_gram_raw, self.ridge_raw, self._ridge_mon = \
-            _penalty_terms(self.p, penalty_order)
+        T, self.mon_gram, self.mon_gram_raw, self.ridge_raw = _penalty_terms(self.p, penalty_order)
         P_raw = self.P_mon @ T
         self.G_nn = self.P_non.T @ self.P_non
         self.G_nm = self.P_non.T @ P_raw
         self.G_mm = P_raw.T @ P_raw
         self.non_grams = [_penalty_terms(s, penalty_order)[1] for s in self.block_sizes]
         self.num_blocks = len(self.block_sizes) + 1
-        self._start_raw = mon_basis._kept("greville_start", _greville_start)
+        # a feasible, identity-like monotone start: raw coordinates of the
+        # Greville coefficients, increments floored at 1e-8
+        beta = mon_basis.greville()
+        self._start_raw = np.concatenate([beta[:1], np.maximum(np.diff(beta), 1e-8)])
+        self._start_raw.flags.writeable = False
         self._ridge_non = RIDGE * np.eye(self.m)
 
     # -- penalty assembly ---------------------------------------------------
@@ -277,7 +270,7 @@ class DesignCache:
 
     def s_mon(self, lambdas):
         """Monotone-coefficient penalty (plus ridge), acting on cumsum(beta_raw)."""
-        return lambdas[-1] * self.mon_gram + self._ridge_mon
+        return lambdas[-1] * self.mon_gram + RIDGE * np.eye(self.p)
 
     def s_mon_raw(self, lambdas):
         """``T' s_mon(lambdas) T``: the monotone penalty acting on beta_raw."""

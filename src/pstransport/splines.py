@@ -19,17 +19,18 @@ every basis function, so the tables are identical to it bit for bit.
 ``PiecewisePolynomial`` holds a fitted expansion ``eval(x) @ coef`` in
 piecewise polynomial form for repeated reading.
 
-What depends on the knots alone is built once per basis and kept on it,
-read-only (``SplineBasis._kept``): the parts of the pp conversion that no
-coefficient enters (the span lookup, span origins and inverse widths, the
-basis table at the knots, the increment table at the slope nodes and
-the nodes' Vandermonde matrices), and the tables that ``component`` and
-``objective`` key on the basis. Every expansion on one basis, and every
-component of a map fit that reads the same variable, shares them.
+The parts of the pp conversion that no coefficient enters (the span
+lookup, span origins and inverse widths, the basis table at the knots,
+the increment table at the slope nodes and the nodes' Vandermonde
+matrices) depend on the knots alone. They are built at the first
+expansion on a basis and kept on it, read-only (``SplineBasis._pp``), so
+every expansion on one basis, and every component of a map fit that reads
+the same variable, shares them.
 """
 
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -179,18 +180,11 @@ class SplineBasis:
         self._slope_first, self._slope_last = increments[:, :-1] - increments[:, 1:]
         # eval_deriv_increments at both ends
         self._end_increments = increments[:, :-1]
-        self._tables = {}
 
-    def _kept(self, name, build):
-        """``build(self)``, built at the first call for ``name`` and kept.
-
-        For tables fixed by the knots, which every expansion on this basis
-        reads; ``build`` returns them read-only.
-        """
-        table = self._tables.get(name)
-        if table is None:
-            table = self._tables[name] = build(self)
-        return table
+    @cached_property
+    def _pp(self):
+        """The pp tables of this basis (``_pp_tables``), built at the first read."""
+        return _pp_tables(self)
 
     def _local(self, x, level):
         """Nonzero basis functions of degree ``level`` at interior x.
@@ -326,8 +320,7 @@ class PiecewisePolynomial:
         coef = np.asarray(coef, dtype=float)
         d = basis.degree
         real = basis.knots.real
-        self._piece, self._origin, self._inv_h, at_knots, at_nodes, vandermonde = \
-            basis._kept("pp", _pp_tables)
+        self._piece, self._origin, self._inv_h, at_knots, at_nodes, vandermonde = basis._pp
         # slopes in increment form, sum_j W_j(x) (c_j - c_{j-1}): a tail slope is
         # one such product, exactly 0 when its two coefficients are equal
         increments = coef.copy()

@@ -181,20 +181,33 @@ class TriangularMap:
 
     # -- helpers ------------------------------------------------------------
 
-    def _std(self, x, cols=slice(None)):
-        """Standardized values of the variables ``cols`` given in original units."""
-        return (np.asarray(x, dtype=float) - self.center[cols]) / self.scale[cols]
+    def _rows(self, x, what="rows"):
+        """``x`` as a float array of rows of every variable; ValueError naming
+        ``what``, the expected and the given width otherwise."""
+        x = np.asarray(x, dtype=float)
+        width = x.shape[-1] if x.ndim else "a scalar"
+        if width != self.dim:
+            raise ValueError(f"{what} must have {self.dim} values, one per variable, "
+                             f"not {width}")
+        return x
+
+    def _std(self, x):
+        """Standardized values of rows of every variable given in original units."""
+        return (self._rows(x) - self.center) / self.scale
 
     def _unstd(self, z, cols=slice(None)):
         """Original units of the standardized values of the variables ``cols``."""
         return z * self.scale[cols] + self.center[cols]
 
     def _observed_std(self, x_a_star):
-        """Standardized block-a values; one value per block-a variable."""
+        """Standardized block-a values; one finite value per block-a variable."""
         split = self.block_split
-        if np.size(x_a_star) != split:
+        x_a_star = np.asarray(x_a_star, dtype=float)
+        if x_a_star.size != split:
             raise ValueError(f"x_a_star must have length {split}")
-        return self._std(x_a_star, slice(None, split))
+        if not np.all(np.isfinite(x_a_star)):
+            raise ValueError(f"x_a_star must be finite, not {x_a_star.ravel().tolist()}")
+        return (x_a_star - self.center[:split]) / self.scale[:split]
 
     def _component(self, j):
         comp = self.components[j]
@@ -239,7 +252,7 @@ class TriangularMap:
     def inverse(self, z):
         """x = S^{-1}(z) for one reference row or an (n, d) array of rows, by
         sequential solves in each component's own variable."""
-        Z = np.atleast_2d(np.asarray(z, dtype=float))
+        Z = np.atleast_2d(self._rows(z, "reference rows"))
         x = self._unstd(self._invert_from(np.zeros(Z.shape), Z.T, 0))
         return x[0] if np.ndim(z) == 1 else x
 
@@ -251,6 +264,9 @@ class TriangularMap:
         ``members`` is an (n, dim) array in original units; returns the
         updated array. Each member keeps its own latent block-b coordinate.
         """
+        if np.ndim(members) != 2:
+            raise ValueError(f"members must be an (n, {self.dim}) array, "
+                             f"not of shape {np.shape(members)}")
         split = self.block_split
         za = self._observed_std(x_a_star)
         Z = self._std(members)
@@ -412,7 +428,8 @@ def fit(ensemble, parent_sets, config=None):
                 logl0[-1] = config.monotone_log_lambda
                 mask[-1] = False
             reports[j] = adapt_lambdas(cache, logl0, mask, config.max_outer)[1]
-            tri.components[j] = _component_from_fit(cache, kept_parents, j, _fitted(reports[j]))
+            tri.components[j] = MapComponent(kept_parents, j, cache.non_bases, cache.mon_basis,
+                                             *_fitted(reports[j]))
     return tri, reports
 
 
@@ -451,9 +468,4 @@ def _fitted(report):
     """``(beta_non, r_hat, log_lambdas)`` at the point a ``FitReport`` carries."""
     profile, r_hat, _ = report.point
     return -profile.D @ r_hat, r_hat, report.log_lambdas.copy()
-
-
-def _component_from_fit(cache, parents, j, fitted):
-    """MapComponent j on ``cache`` with ``_fitted`` coefficients."""
-    return MapComponent(parents, j, cache.non_bases, cache.mon_basis, *fitted)
 

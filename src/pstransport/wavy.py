@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .component import MapComponent
 from .objective import FIT_FAILURES, LOG_LAMBDA_BOUNDS, outer_objective
-from .tmap import Ensemble, MapFitConfig, _check_fields, _component_from_fit, _fitted, fit
+from .tmap import Ensemble, MapFitConfig, _check_fields, _fitted, fit
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +130,8 @@ def profile_lambda(config=None):
     rng = np.random.default_rng(config.seed + 1)
     z_ref = rng.standard_normal((config.num_pullback, 2))
     for logl in _representative(config.grid[ok], argmin):
-        tri.components[1] = _component_from_fit(cache, parents, 1, fits[float(logl)])
+        tri.components[1] = MapComponent(parents, 1, cache.non_bases, cache.mon_basis,
+                                         *fits[float(logl)])
         push = tri.pushforward_ensemble(ensemble).data
         pull = tri.inverse(z_ref)
         clouds[float(logl)] = {"pushforward": push, "pullback": pull}

@@ -11,7 +11,7 @@ try:
 except ImportError:   # numpy < 2
     from numpy.core._exceptions import _ArrayMemoryError
 
-from pstransport import objective, tmap
+from pstransport import objective, splines, tmap
 from pstransport.component import MapComponent, NotInvertibleError
 from pstransport.lorenz63 import Lorenz63Params
 from pstransport.objective import OUTER_TOL_GRAD, BarrierViolationError, \
@@ -314,6 +314,47 @@ def test_conditioning_checks_the_observed_block_size():
     assert tri.sample_conditional(np.array([0.5, 0.5]), 10, seed=0).shape == (10, 1)
 
 
+@pytest.fixture(scope="module")
+def three_variable_map():
+    ens = gaussian_ensemble(100, dim=3)
+    return ens, fit(ens, [[], [0], [0, 1]], MapFitConfig(block_split=1, max_outer=2))[0]
+
+
+ROW_READERS = {
+    "pushforward": lambda tri, x: tri.pushforward(x),
+    "log_pullback_density": lambda tri, x: tri.log_pullback_density(x),
+    "component_ddx": lambda tri, x: tri.component_ddx(1, x),
+    "inverse": lambda tri, x: tri.inverse(x),
+    "conditional_update": lambda tri, x: tri.conditional_update(x, [0.2]),
+}
+
+
+@pytest.mark.parametrize("reader", ROW_READERS.values(), ids=ROW_READERS)
+@pytest.mark.parametrize("shape", [(5, 1), (5, 4), (1,)], ids=["width-1", "width-4", "1d-row"])
+def test_rows_of_the_wrong_width_are_rejected(three_variable_map, reader, shape):
+    """Every method that reads rows of all variables (reference rows for
+    ``inverse``) rejects rows of another width with a ValueError naming the
+    expected and the given width, rather than broadcasting a column; a 1-d
+    row is one row, except for ``conditional_update``, which takes (n, d)."""
+    _, tri = three_variable_map
+    x = np.full(shape, 0.3)
+    match = r"must have 3 values, one per variable, not %d" % shape[-1]
+    if reader is ROW_READERS["conditional_update"] and len(shape) == 1:
+        match = r"members must be an \(n, 3\) array, not of shape \(1,\)"
+    with pytest.raises(ValueError, match=match):
+        reader(tri, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_conditioning_rejects_a_non_finite_observation(three_variable_map, value):
+    """A non-finite observed value is named as such, not blamed on a member."""
+    ens, tri = three_variable_map
+    with pytest.raises(ValueError, match="x_a_star must be finite"):
+        tri.conditional_update(ens.data, [value])
+    with pytest.raises(ValueError, match="x_a_star must be finite"):
+        tri.sample_conditional([value], 3)
+
+
 def test_save_load_round_trip(tmp_path, fitted):
     ens, tri, _ = fitted
     path = tmp_path / "map.json"
@@ -524,27 +565,43 @@ def test_sparse_map_fit_evaluates_one_table_per_variable(monkeypatch):
 
 
 def test_kept_basis_tables_are_read_only():
-    """Every table a fit keeps on a basis, the pp tables, the Newton start
-    points and the Greville start, is read-only, the span lookup included;
-    so are the penalties a design keeps per size and per point."""
+    """The pp tables a fit keeps on each basis are read-only, the span lookup
+    included; so are the penalties a design keeps per size and per point,
+    and its Greville start."""
     tri, reports = fit(lorenz_joint(), [[], [0], [1], [1, 2]],
                        MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
     for comp, report in zip(tri.components[1:], reports[1:]):
-        assert sorted(comp.mon_basis._tables) == ["greville_start", "pp", "start_points"]
         for basis in [comp.mon_basis, *comp.non_bases]:
-            assert "pp" in basis._tables
-            for table in basis._tables.values():
-                for item in table if isinstance(table, tuple) else (table,):
-                    arrays = [item._below, item._breaks] if isinstance(item, SortedLookup) \
-                        else [] if item is None else [item]
-                    for arr in arrays:
-                        assert not arr.flags.writeable
+            for item in basis._pp:
+                arrays = [item._below, item._breaks] if isinstance(item, SortedLookup) \
+                    else [] if item is None else [item]
+                for arr in arrays:
+                    assert not arr.flags.writeable
         cache = report.design
         kept = [cache.mon_gram, cache.mon_gram_raw, cache.ridge_raw, *cache.non_grams,
-                report.point[0].S_non, report.point[0].S_mon_raw]
+                cache._start_raw, report.point[0].S_non, report.point[0].S_mon_raw]
         assert all(not arr.flags.writeable for arr in kept)
         assert np.array_equal(cache.default_raw(), cache._start_raw)
         assert cache.default_raw().flags.writeable
+
+
+def test_sparse_map_fit_builds_pp_tables_once_per_basis(monkeypatch):
+    """The sparse filter map's components read a basis 7 times, 3 monotone
+    terms and 4 parent terms on 4 variables; the pp tables are built once
+    per basis, and every term on one basis reads the same tables object."""
+    calls = []
+    build = splines._pp_tables
+    monkeypatch.setattr(splines, "_pp_tables", lambda basis: calls.append(basis) or build(basis))
+    tri, _ = fit(lorenz_joint(), [[], [0], [1], [1, 2]],
+                 MapFitConfig(block_split=1, fit_upper=False, max_outer=2))
+    reads = [(basis, term) for comp in tri.components[1:]
+             for basis, term in zip([comp.mon_basis, *comp.non_bases], [comp._mon, *comp._non])]
+    assert len(reads) == 7
+    assert len(calls) == 4 and len(set(map(id, calls))) == 4
+    assert {id(basis) for basis, _ in reads} == set(map(id, calls))
+    for basis, term in reads:
+        assert term._piece is basis._pp[0] and term._origin is basis._pp[1]
+        assert term._inv_h is basis._pp[2]
 
 
 def test_constant_columns_keep_their_warning_and_error(caplog):
